@@ -57,6 +57,7 @@ from .oracles import (
     OracleResult,
     SizeLimitError,
     VolumeCheck,
+    best_oracle,
     min_pairwise_distance,
     optimal_by_partition_enum,
     optimal_diameter_1d,
@@ -74,7 +75,7 @@ __all__ = [
     "agglomerate", "agglomerate_nn_chain", "greedy_tie_margin",
     "OracleResult", "CoverableSample", "VolumeCheck", "SizeLimitError",
     "optimal_by_partition_enum", "optimal_discrete_kcenter", "optimal_diameter_1d",
-    "volume_lemma_check", "min_pairwise_distance",
+    "best_oracle", "volume_lemma_check", "min_pairwise_distance",
     "ExpectedOutcome", "GeneratedCase", "ParseError",
     "gen_line_1d", "gen_linf_2d", "gen_l2_3d", "gen_hypercube_l1",
     "hypercube_reference_clusters", "gen_random",

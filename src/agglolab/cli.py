@@ -30,13 +30,7 @@ from .forge import (
 )
 from .harness import SUITE_NAMES, verify_suite
 from .metrics import L2, LINF, Norm
-from .oracles import (
-    CoverableSample,
-    SizeLimitError,
-    optimal_by_partition_enum,
-    optimal_diameter_1d,
-    optimal_discrete_kcenter,
-)
+from .oracles import CoverableSample, best_oracle
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -150,12 +144,11 @@ def _cmd_oracle(args) -> int:
     case = read_case(args.instance)
     inst = case.instance
     problem = _PROBLEMS[args.problem]
-    if problem is Problem.DIAMETER and inst.dim == 1:
-        res = optimal_diameter_1d(inst, args.k)
-    elif problem is Problem.DISCRETE_RADIUS:
-        res = optimal_discrete_kcenter(inst, args.k)
-    else:
-        res = optimal_by_partition_enum(inst, args.k, problem)
+    res = best_oracle(inst, problem, args.k)
+    if res is None:
+        print(f"size limit: no exact oracle covers {problem.value} at n={len(inst.points)}, "
+              f"k={args.k}", file=sys.stderr)
+        return EXIT_BUDGET
     sizes = ",".join(str(len(c)) for c in res.partition) if res.partition else "-"
     print(f"instance={inst.name} problem={problem.value} k={args.k} "
           f"opt={res.opt_cost:.12g} method={res.method} cluster-sizes={sizes}")
@@ -200,9 +193,6 @@ def main(argv: list[str] | None = None) -> int:
     except ScriptViolationError as exc:
         print(f"script violation: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except SizeLimitError as exc:
-        print(f"size limit: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

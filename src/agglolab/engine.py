@@ -21,6 +21,7 @@ can proceed in parallel, and a returned ``MergeHistory`` is immutable.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -193,27 +194,35 @@ class MergeHistory:
 # cost backends
 
 
-class _DiameterCosts:
-    """Cached pair matrix for complete linkage.
+class _PairTable:
+    """Reported merge cost of every pair of live cluster ids, in a
+    (2n - 1)^2 table: the singleton pairs are costed when it is built, and a
+    merged cluster's row against every other live cluster when it is made
+    (``merged``)."""
+
+    def __init__(self, n: int):
+        self.m = np.zeros((2 * n - 1, 2 * n - 1))
+
+    def cost(self, a: int, b: int) -> float:
+        return float(self.m[a, b])
+
+    def pair_cost_table(self, ids: list[int]) -> np.ndarray:
+        return self.m[np.ix_(ids, ids)]
+
+
+class _DiameterCosts(_PairTable):
+    """Complete linkage.
 
     diam(A u B u C) = max(diam(A u C), diam(B u C), diam(A u B)), so the row
     for a merged cluster is an elementwise max; no union is ever re-scanned.
-    Entries are powered distances; roots are taken at the boundary.
+    The max commutes with the monotone root, so entries can be roots from
+    the start.
     """
 
     def __init__(self, inst: Instance):
         n = len(inst.points)
-        size = max(2 * n - 1, 1)
-        self.norm = inst.norm
-        self.m = np.zeros((size, size), dtype=float)
-        self.m[:n, :n] = powered_matrix(inst)
-
-    def cost(self, a: int, b: int) -> float:
-        return unpower(float(self.m[a, b]), self.norm)
-
-    def pair_cost_table(self, ids: list[int]) -> np.ndarray:
-        view = self.m[np.ix_(ids, ids)]
-        return unpower_array(view, self.norm)
+        super().__init__(n)
+        self.m[:n, :n] = unpower_array(powered_matrix(inst), inst.norm)
 
     def merged(self, a: int, b: int, new: int, others: list[int]) -> None:
         if not others:
@@ -225,37 +234,37 @@ class _DiameterCosts:
         self.m[idx, new] = row
 
 
-class _RecomputeCosts:
-    """Pair-cost memo for radius / discrete-radius linkage.
+class _RecomputeCosts(_PairTable):
+    """Radius and discrete-radius linkage.
 
-    No exact union decomposition exists for these costs, so each candidate
-    pair recomputes on the union; results are memoized until one side merges
-    (keys with dead ids simply stop being queried).
+    No exact union decomposition exists for these costs, so every pair of
+    live clusters is costed once, on its union.
     """
 
     def __init__(self, inst: Instance, linkage: Problem, members: dict[int, tuple[int, ...]]):
+        n = len(inst.points)
+        super().__init__(n)
         self.inst = inst
-        self.linkage = linkage
         self.members = members
-        self.norm = inst.norm
-        self.dpow = powered_matrix(inst)
-        self.memo: dict[tuple[int, int], float] = {}
+        self.dpow = powered_matrix(inst) if linkage is Problem.DISCRETE_RADIUS else None
+        for a in range(n):
+            for b in range(a + 1, n):
+                self._fill(a, b)
 
-    def cost(self, a: int, b: int) -> float:
-        key = (a, b) if a < b else (b, a)
-        val = self.memo.get(key)
-        if val is None:
-            ids = sorted(self.members[a] + self.members[b])
-            if self.linkage is Problem.DISCRETE_RADIUS:
-                sub = self.dpow[np.ix_(ids, ids)]
-                val = unpower(float(sub.max(axis=1).min()), self.norm)
-            else:
-                val = radius(ids, self.inst).radius
-            self.memo[key] = val
-        return val
+    def _fill(self, a: int, b: int) -> None:
+        ids = sorted(self.members[a] + self.members[b])
+        if self.dpow is not None:
+            sub = self.dpow[np.ix_(ids, ids)]
+            val = unpower(float(sub.max(axis=1).min()), self.inst.norm)
+        else:
+            val = radius(ids, self.inst).radius
+        self.m[a, b] = self.m[b, a] = val
 
     def merged(self, a: int, b: int, new: int, others: list[int]) -> None:
-        pass  # memo misses populate lazily
+        # ascending ids, the order a full pair scan visits them in, so a run
+        # whose ball solver fails has made the calls such a scan would have
+        for c in sorted(others):
+            self._fill(c, new)
 
 
 def _make_backend(inst: Instance, linkage: Problem, members: dict[int, tuple[int, ...]]):
@@ -287,47 +296,28 @@ def _greedy(
             f"script has {len(scripted)} steps but the run stops after {total_steps}"
         )
 
+    steps: list[MergeStep] = []
+    if total_steps == 0:
+        return steps
     members: dict[int, tuple[int, ...]] = {i: (i,) for i in range(n)}
     mins: dict[int, int] = {i: i for i in range(n)}
     backend = _make_backend(inst, linkage, members)
     active: list[int] = list(range(n))
-    steps: list[MergeStep] = []
 
     for t in range(total_steps):
         ids = sorted(active)
         scripted_step = t < len(scripted)
-        if isinstance(backend, _DiameterCosts):
-            table = backend.pair_cost_table(ids)
-            masked = np.where(np.triu(np.ones(table.shape, dtype=bool), k=1), table, math.inf)
-            best = float(masked.min())
-            band = _tie_band(best)
-            tied = []
-            if not scripted_step:
-                ti, tj = np.nonzero(masked <= band)
-                tied = [(ids[i], ids[j]) for i, j in zip(ti.tolist(), tj.tolist())]
-            if margins is not None:
-                above = masked[masked > band]
-                margins.append(float(above.min()) - best if above.size else math.inf)
-        else:
-            best = math.inf
-            for i, a in enumerate(ids):
-                for b in ids[i + 1:]:
-                    c = backend.cost(a, b)
-                    if c < best:
-                        best = c
-            band = _tie_band(best)
-            tied = []
-            second = math.inf
-            if not scripted_step or margins is not None:
-                for i, a in enumerate(ids):
-                    for b in ids[i + 1:]:
-                        c = backend.cost(a, b)
-                        if c <= band:
-                            tied.append((a, b))
-                        elif c < second:
-                            second = c
-            if margins is not None:
-                margins.append(second - best)
+        table = backend.pair_cost_table(ids)
+        masked = np.where(np.triu(np.ones(table.shape, dtype=bool), k=1), table, math.inf)
+        best = float(masked.min())
+        band = _tie_band(best)
+        tied = []
+        if not scripted_step:
+            ti, tj = np.nonzero(masked <= band)
+            tied = [(ids[i], ids[j]) for i, j in zip(ti.tolist(), tj.tolist())]
+        if margins is not None:
+            above = masked[masked > band]
+            margins.append(float(above.min()) - best if above.size else math.inf)
 
         if scripted_step:
             sa, sb = scripted[t]
@@ -354,12 +344,15 @@ def _greedy(
         new_id = n + t
         active.remove(a)
         active.remove(b)
-        backend.merged(a, b, new_id, active)
-        active.append(new_id)
         union = tuple(sorted(members.pop(a) + members.pop(b)))
         members[new_id] = union
         mins[new_id] = min(mins[a], mins[b])
         steps.append(MergeStep(a, b, cost, new_id, len(union)))
+        # the last cluster's row would never be scanned; for radius linkage
+        # it would cost one enclosing ball per remaining cluster
+        if t + 1 < total_steps:
+            backend.merged(a, b, new_id, active)
+        active.append(new_id)
 
     return steps
 
@@ -390,87 +383,59 @@ def greedy_tie_margin(inst: Instance, linkage: Problem = Problem.DIAMETER) -> fl
 
 
 # ---------------------------------------------------------------------------
-# nearest-neighbor-chain fast path (complete linkage only)
+# complete-linkage fast path
 
 
 def agglomerate_nn_chain(inst: Instance) -> MergeHistory:
-    """Complete-linkage dendrogram via the nearest-neighbor chain.
+    """Complete-linkage dendrogram from scipy's nearest-neighbor chain.
 
-    Complete linkage is reducible, so chasing nearest neighbors until a
-    reciprocal pair appears yields the same merge set as the naive greedy
-    loop on tie-free instances; the collected merges are then replayed in
-    greedy order (cost, then lexicographic) so the returned history matches
-    ``agglomerate(inst, Problem.DIAMETER)`` step for step.
+    ``scipy.cluster.hierarchy.linkage(method="complete")`` builds the merge
+    set (Muellner, arXiv:1109.2378); the merges are then replayed in greedy
+    order: among merges whose two operands exist, the one with the smallest
+    (cost, lexicographic pair of member minima) goes first.  On tie-free
+    instances this matches ``agglomerate(inst, Problem.DIAMETER)`` step for
+    step.  On exactly tied costs scipy may build another hierarchy than the
+    naive loop's lexicographic one; its replay still has nested levels and
+    nondecreasing costs.
     """
+    # imported here: scipy.cluster adds about 24 MB to any process that loads it
+    from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import squareform
+
     n = len(inst.points)
-    norm = inst.norm
     if n <= 1:
         return MergeHistory(instance=inst, linkage=Problem.DIAMETER, steps=())
+    z = linkage(squareform(powered_matrix(inst), checks=False), method="complete")
+    pairs = z[:, :2].astype(int).tolist()
+    sizes = z[:, 3].astype(int).tolist()
+    costs = [unpower(h, inst.norm) for h in z[:, 2].tolist()]
 
-    size = 2 * n - 1
-    m = np.zeros((size, size), dtype=float)
-    m[:n, :n] = powered_matrix(inst)
-    members: dict[int, tuple[int, ...]] = {i: (i,) for i in range(n)}
-    mins: dict[int, int] = {i: i for i in range(n)}
-    active: set[int] = set(range(n))
-    pending: list[tuple[int, int, float, int]] = []  # (a, b, cost, tmp_new)
-    next_tmp = n
-    chain: list[int] = []
+    # scipy numbers the cluster made by row i as n + i, and its rows are in
+    # an order where operands come first, so member minima fill in one pass
+    mins = list(range(n)) + [0] * (n - 1)
+    consumer = [-1] * (2 * n - 1)  # the row that merges a cluster away
+    for i, (a, b) in enumerate(pairs):
+        mins[n + i] = min(mins[a], mins[b])
+        consumer[a] = consumer[b] = i
 
-    while len(active) > 1:
-        if not chain:
-            chain.append(min(active, key=lambda c: mins[c]))
-        top = chain[-1]
-        prev = chain[-2] if len(chain) >= 2 else None
-        nearest = None
-        nearest_key = None
-        for cand in active:
-            if cand == top:
-                continue
-            key = (m[top, cand], 0 if cand == prev else 1, mins[cand])
-            if nearest is None or key < nearest_key:
-                nearest = cand
-                nearest_key = key
-        if nearest == prev:
-            a, b = prev, top
-            chain.pop()
-            chain.pop()
-            cost = unpower(float(m[a, b]), norm)
-            new = next_tmp
-            next_tmp += 1
-            active.discard(a)
-            active.discard(b)
-            rest = list(active)
-            if rest:
-                idx = np.asarray(rest)
-                row = np.maximum(m[a, idx], m[b, idx])
-                row = np.maximum(row, m[a, b])
-                m[new, idx] = row
-                m[idx, new] = row
-            active.add(new)
-            members[new] = tuple(sorted(members[a] + members[b]))
-            mins[new] = min(mins[a], mins[b])
-            pending.append((a, b, cost, new))
-        else:
-            chain.append(nearest)
+    def entry(i: int) -> tuple[float, int, int, int]:
+        a, b = pairs[i]
+        return (costs[i], min(mins[a], mins[b]), max(mins[a], mins[b]), i)
 
-    # Replay in greedy order: among merges whose operands both exist, apply
-    # the one with minimum (cost, lexicographic pair of member minima).
-    final_id: dict[int, int] = {i: i for i in range(n)}
-    remaining = list(pending)
+    final_id: list[int | None] = list(range(n)) + [None] * (n - 1)
+    ready = [entry(i) for i, (a, b) in enumerate(pairs) if a < n and b < n]
+    heapq.heapify(ready)
     steps: list[MergeStep] = []
-    t = 0
-    while remaining:
-        ready = [mg for mg in remaining if mg[0] in final_id and mg[1] in final_id]
-        mg = min(ready, key=lambda e: (e[2], min(mins[e[0]], mins[e[1]]),
-                                       max(mins[e[0]], mins[e[1]])))
-        remaining.remove(mg)
-        a, b, cost, tmp_new = mg
-        fa, fb = final_id.pop(a), final_id.pop(b)
-        new_id = n + t
-        final_id[tmp_new] = new_id
-        lo, hi = (fa, fb) if fa < fb else (fb, fa)
-        steps.append(MergeStep(lo, hi, cost, new_id, len(members[tmp_new])))
-        t += 1
+    while ready:
+        cost, _, _, i = heapq.heappop(ready)
+        fa, fb = (final_id[c] for c in pairs[i])
+        new_id = n + len(steps)
+        final_id[n + i] = new_id
+        steps.append(MergeStep(min(fa, fb), max(fa, fb), cost, new_id, sizes[i]))
+        # each cluster is an operand of one merge, which becomes ready when
+        # its second operand is made
+        j = consumer[n + i]
+        if j >= 0 and all(final_id[c] is not None for c in pairs[j]):
+            heapq.heappush(ready, entry(j))
 
     return MergeHistory(instance=inst, linkage=Problem.DIAMETER, steps=tuple(steps))

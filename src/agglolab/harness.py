@@ -55,9 +55,7 @@ from .metrics import (
     radius,
 )
 from .oracles import (
-    CENTER_ENUM_BUDGET,
-    PARTITION_ENUM_MAX_N,
-    OracleResult,
+    best_oracle,
     optimal_by_partition_enum,
     optimal_diameter_1d,
     optimal_discrete_kcenter,
@@ -128,17 +126,6 @@ class SuiteResult:
     reports: tuple[RatioReport, ...]
 
 
-def _exact_oracle(inst: Instance, problem: Problem, k: int, hint: float | None) -> OracleResult | None:
-    n = len(inst.points)
-    if problem is Problem.DIAMETER and inst.dim == 1:
-        return optimal_diameter_1d(inst, k)
-    if problem is Problem.DISCRETE_RADIUS and math.comb(n, k) <= CENTER_ENUM_BUDGET:
-        return optimal_discrete_kcenter(inst, k)
-    if n <= PARTITION_ENUM_MAX_N:
-        return optimal_by_partition_enum(inst, k, problem, upper_bound=hint)
-    return None
-
-
 def evaluate(
     inst: Instance,
     problem: Problem,
@@ -159,7 +146,7 @@ def evaluate(
     hist = agglomerate(inst, problem, script=script, stop_at_k=k)
     hist.check_invariants()
     algo = hist.cost_at_k(k)
-    oracle = _exact_oracle(inst, problem, k, algo)
+    oracle = best_oracle(inst, problem, k, upper_bound=algo)
     if oracle is not None:
         opt, kind = oracle.opt_cost, "exact"
     elif opt_hint is not None:
@@ -284,12 +271,17 @@ def grid_search_enclosing_radius(
     from scipy.optimize import minimize
 
     center = best_center
-    for _ in range(3):  # fresh simplexes recover from stagnation
+    width = hi - lo
+    for r in range(3):
+        # each restart spans 10^-r of the final box: a simplex rebuilt at
+        # the default size around a stalled point stalls there again
+        simplex = np.vstack([center, center + np.diag(width * 10.0 ** -r)])
         res = minimize(
             lambda c: float(worst(c[None, :])[0]),
             center,
             method="Nelder-Mead",
-            options={"xatol": tol * 1e-3, "fatol": tol * 1e-3, "maxiter": 4000},
+            options={"xatol": tol * 1e-3, "fatol": tol * 1e-3, "maxiter": 4000,
+                     "initial_simplex": simplex},
         )
         center = res.x
         best = min(best, float(worst(center[None, :])[0]))

@@ -28,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -247,27 +247,58 @@ def distance(a: Sequence[float], b: Sequence[float], norm: Norm) -> float:
     return unpower(powered_distance(a, b, norm), norm)
 
 
+_BLOCK_ELEMENTS = 1 << 16  # cap on the (rows, n, d) difference slab of one block
+
+
+def powered_row_blocks(pts: np.ndarray, norm: Norm) -> Iterator[tuple[int, np.ndarray]]:
+    """Pairwise powered distances of the rows of an (n, d) array, a few rows
+    at a time: yields ``(start, block)`` with ``block[i, j]`` the powered
+    distance between rows ``start + i`` and ``j``.
+
+    Each entry is computed alone, so the values do not depend on the block
+    size.  For general p the terms are accumulated left to right, and each
+    is raised by ``np.float_power``, which calls the C library's ``pow`` as
+    Python's float ``**`` does; so every entry equals :func:`powered_distance`
+    bit for bit (numpy's ``**`` has its own SIMD routine, which differs from
+    ``pow`` in the last bit on about 5 % of inputs).
+    """
+    n, d = pts.shape
+    rows = max(1, _BLOCK_ELEMENTS // max(n * d, 1))
+    p = norm.p
+    for start in range(0, n, rows):
+        diff = np.abs(pts[start:start + rows, None, :] - pts[None, :, :])
+        if math.isinf(p):
+            block = diff.max(axis=-1)
+        elif p == 2.0:
+            block = (diff * diff).sum(axis=-1)
+        elif p == 1.0:
+            block = diff.sum(axis=-1)
+        else:
+            terms = np.float_power(diff, p)
+            block = terms[..., 0].copy()
+            for j in range(1, d):
+                block += terms[..., j]
+        yield start, block
+
+
 def powered_matrix(inst: Instance) -> np.ndarray:
     """(n, n) matrix of pairwise powered distances for an instance."""
-    pts = inst.coords()
-    diff = np.abs(pts[:, None, :] - pts[None, :, :])
-    p = inst.norm.p
-    if math.isinf(p):
-        return diff.max(axis=-1)
-    if p == 2.0:
-        return (diff * diff).sum(axis=-1)
-    if p == 1.0:
-        return diff.sum(axis=-1)
-    return (diff ** p).sum(axis=-1)
+    n = len(inst.points)
+    out = np.empty((n, n))
+    for start, block in powered_row_blocks(inst.coords(), inst.norm):
+        out[start:start + len(block)] = block
+    return out
 
 
 def unpower_array(values: np.ndarray, norm: Norm) -> np.ndarray:
+    """Elementwise :func:`unpower`, equal to it bit for bit (``np.sqrt`` is
+    correctly rounded, and ``np.float_power`` calls the C library's ``pow``)."""
     p = norm.p
     if math.isinf(p) or p == 1.0:
         return values
     if p == 2.0:
         return np.sqrt(values)
-    return values ** (1.0 / p)
+    return np.float_power(values, 1.0 / p)
 
 
 def distance_matrix(inst: Instance) -> np.ndarray:

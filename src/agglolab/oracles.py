@@ -12,6 +12,9 @@ Three independent routes to an optimum:
   contiguous segments; exact for the diameter cost in dimension 1, where
   optimal clusters are intervals.
 
+``best_oracle`` routes one (problem, k) request to the cheapest of them that
+applies; every caller that wants an optimum goes through it.
+
 ``volume_lemma_check`` evaluates the packing bound on a coverable sample:
 if a finite set P sits inside k balls of radius r and |P| > k, then some
 two of its points are within 4 r (k/|P|)^(1/d) of each other.
@@ -33,8 +36,8 @@ from .metrics import (
     Norm,
     L2,
     Problem,
-    distance,
     powered_matrix,
+    powered_row_blocks,
     radius,
     unpower,
     unpower_array,
@@ -43,7 +46,7 @@ from .metrics import (
 __all__ = [
     "OracleResult", "CoverableSample", "VolumeCheck", "SizeLimitError",
     "optimal_by_partition_enum", "optimal_discrete_kcenter", "optimal_diameter_1d",
-    "volume_lemma_check", "min_pairwise_distance",
+    "best_oracle", "volume_lemma_check", "min_pairwise_distance",
     "PARTITION_ENUM_MAX_N", "CENTER_ENUM_BUDGET",
 ]
 
@@ -327,17 +330,41 @@ def optimal_diameter_1d(inst: Instance, k: int) -> OracleResult:
     )
 
 
+def best_oracle(
+    inst: Instance,
+    problem: Problem,
+    k: int,
+    upper_bound: float | None = None,
+) -> OracleResult | None:
+    """Exact optimum from the cheapest oracle that applies, or None when the
+    instance is past every oracle's budget.
+
+    One-dimensional diameter goes to the segment DP, discrete radius to
+    center enumeration while C(n, k) fits its budget, and anything else with
+    n <= ``PARTITION_ENUM_MAX_N`` to partition enumeration, which
+    ``upper_bound`` (a cost some k-partition achieves) helps prune.
+    """
+    n = len(inst.points)
+    _validate_k(n, k)
+    if problem is Problem.DIAMETER and inst.dim == 1:
+        return optimal_diameter_1d(inst, k)
+    if problem is Problem.DISCRETE_RADIUS and math.comb(n, k) <= CENTER_ENUM_BUDGET:
+        return optimal_discrete_kcenter(inst, k)
+    if n <= PARTITION_ENUM_MAX_N:
+        return optimal_by_partition_enum(inst, k, problem, upper_bound=upper_bound)
+    return None
+
+
 def min_pairwise_distance(points: Sequence[Sequence[float]], norm: Norm) -> float:
-    """Exact minimum over all point pairs (brute force)."""
+    """Exact minimum over all point pairs (brute force over row blocks)."""
     if len(points) < 2:
         raise ValueError("need at least two points")
     best = math.inf
-    for i, a in enumerate(points):
-        for b in points[i + 1:]:
-            v = distance(a, b, norm)
-            if v < best:
-                best = v
-    return best
+    for start, block in powered_row_blocks(np.asarray(points, dtype=float), norm):
+        rows = np.arange(len(block))
+        block[rows, start + rows] = math.inf  # a point paired with itself
+        best = min(best, float(block.min()))
+    return unpower(best, norm)
 
 
 def volume_lemma_check(sample: CoverableSample, dim: int) -> VolumeCheck:

@@ -242,6 +242,43 @@ def test_nn_chain_matches_naive_small_sweep():
     assert checked >= 20
 
 
+def test_nn_chain_on_exact_ties_is_a_valid_greedy_run():
+    # integer coordinates tie exactly; whichever hierarchy scipy builds, the
+    # replay must respect readiness and record nondecreasing costs
+    for seed in range(30):
+        rng = np.random.default_rng(900 + seed)
+        pts = rng.integers(0, 6, size=(12 + seed % 20, 1 + seed % 3)).astype(float)
+        for norm in (L2, LINF):
+            inst = Instance.from_points("ties", pts.tolist(), norm)
+            hist = agglomerate_nn_chain(inst)
+            hist.check_invariants(deep=True)
+            costs = [s.cost for s in hist.steps]
+            assert costs == sorted(costs)
+            assert len(costs) == len(inst) - 1
+
+
+def test_radius_linkage_costs_each_live_pair_once():
+    # singleton pairs, then each new cluster against the others still live,
+    # except the cluster made by the last step: 66 + (10 + 9 + ... + 4)
+    import agglolab.engine as engine
+
+    calls = []
+    real = engine.radius
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    inst = gen_random("uniform_cube", n=12, d=2, norm=L2, seed=5)
+    try:
+        engine.radius = counting
+        hist = agglomerate(inst, Problem.RADIUS, stop_at_k=4)
+    finally:
+        engine.radius = real
+    assert len(calls) == 115
+    assert hist.final_level == 4
+
+
 def test_dendrogram_text_format():
     inst = Instance.from_points("abc", [(0.0,), (1.0,), (5.0,)], L2)
     h = agglomerate(inst, Problem.DIAMETER)

@@ -151,6 +151,14 @@ def test_cli_oracle_budget_exit_code(tmp_path):
                  "discrete-radius", "--k", "32"]) == 3
 
 
+def test_cli_oracle_bad_k_is_a_usage_error(tmp_path):
+    path = tmp_path / "plane.json"
+    assert main(["generate", "--family", "uniform-cube", "--n", "20", "--d", "2",
+                 "--out", str(path)]) == 0
+    assert main(["oracle", "--instance", str(path), "--problem", "diameter",
+                 "--k", "0"]) == 2
+
+
 def test_cli_parse_error_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

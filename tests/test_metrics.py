@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from agglolab import (
     Cluster,
@@ -20,7 +20,7 @@ from agglolab import (
 )
 from agglolab.forge import gen_line_1d, gen_hypercube_l1
 from agglolab.harness import grid_search_enclosing_radius
-from agglolab.metrics import powered_distance, powered_matrix, unpower
+from agglolab.metrics import powered_distance, powered_matrix, unpower, unpower_array
 
 
 def test_norm_validation():
@@ -183,6 +183,23 @@ def test_powered_matrix_matches_scalar_path():
     for i in range(3):
         for j in range(3):
             assert mat[i, j] == powered_distance(inst.points[i], inst.points[j], L2)
+    # 300 points in 3-d span several row blocks of the distance kernel
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-5.0, 5.0, size=(300, 3)).tolist()
+    for norm in (L1, L2, LINF, Norm(1.5), Norm(3.0)):
+        inst = Instance.from_points("blocks", pts, norm)
+        mat = powered_matrix(inst)
+        for i in range(0, 300, 7):
+            for j in range(300):
+                assert mat[i, j] == powered_distance(inst.points[i], inst.points[j], norm)
+
+
+def test_unpower_array_matches_scalar_root():
+    rng = np.random.default_rng(12)
+    values = np.concatenate([rng.uniform(0.0, 50.0, 20000), [0.0, 1.0, 1e-300]])
+    for norm in (L1, L2, LINF, Norm(1.5), Norm(3.0)):
+        roots = unpower_array(values, norm)
+        assert [float(r) for r in roots] == [unpower(float(v), norm) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +289,10 @@ def test_union_monotonicity(points, norm):
 
 @settings(max_examples=25, deadline=None)
 @given(_small_cloud)
+# the grid oracle's simplex polish used to stall 1.4e-6 above the exact radius
+@example([(27.63572053293484, 72.97744785256691, -88.7749114458729),
+          (97.7904236336511, 0.0, -1e-05),
+          (-86.31327800959369, 0.0, -52.511033924864925)])
 def test_enclosing_ball_membership_and_grid_agreement(points):
     inst = Instance.from_points("ball", points, L2)
     ball = radius(range(len(points)), inst)
@@ -284,15 +305,16 @@ def test_enclosing_ball_membership_and_grid_agreement(points):
 def test_cached_cluster_values_are_exact_copies():
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.0, 1.0, size=(12, 2))
-    inst = Instance.from_points("cache", pts.tolist(), L2)
     from agglolab import agglomerate
 
-    hist = agglomerate(inst, Problem.DIAMETER)
-    for c in hist.clusters_at_k(4):
-        assert c.cached_diameter == diameter(c, inst)
-    hist = agglomerate(inst, Problem.DISCRETE_RADIUS)
-    for c in hist.clusters_at_k(4):
-        assert c.cached_drad == discrete_radius(c, inst)[0]
+    for norm in (L2, Norm(1.5), Norm(3.0)):
+        inst = Instance.from_points("cache", pts.tolist(), norm)
+        hist = agglomerate(inst, Problem.DIAMETER)
+        for c in hist.clusters_at_k(4):
+            assert c.cached_diameter == diameter(c, inst)
+        hist = agglomerate(inst, Problem.DISCRETE_RADIUS)
+        for c in hist.clusters_at_k(4):
+            assert c.cached_drad == discrete_radius(c, inst)[0]
 
 
 def test_unpower_round_trip():

@@ -11,9 +11,12 @@ from agglolab import (
     L2,
     LINF,
     Problem,
+    Norm,
     SizeLimitError,
+    best_oracle,
     cluster_cost,
     discrete_radius,
+    distance,
     min_pairwise_distance,
     optimal_by_partition_enum,
     optimal_diameter_1d,
@@ -165,6 +168,34 @@ def test_min_pairwise_matches_sorted_sweep():
     s = np.sort(vals)
     sweep = float(np.diff(s).min())
     assert brute == pytest.approx(sweep, abs=1e-12)
+
+
+@pytest.mark.parametrize("norm", [L1, L2, LINF, Norm(1.5)], ids=lambda norm: norm.label)
+def test_min_pairwise_distance_matches_pair_loop(norm):
+    # 400 points span several row blocks; the closest pair is planted in
+    # different blocks, away from the diagonal
+    rng = np.random.default_rng(31)
+    pts = [tuple(p) for p in rng.uniform(0.0, 100.0, size=(400, 2)).tolist()]
+    pts[390] = (pts[3][0] + 1e-6, pts[3][1])
+    loop = min(distance(a, b, norm) for i, a in enumerate(pts) for b in pts[i + 1:])
+    assert min_pairwise_distance(pts, norm) == loop
+
+
+def test_best_oracle_routes_to_the_cheapest_exact_oracle():
+    line = gen_random("uniform_cube", n=20, d=1, norm=L2, seed=3)
+    assert best_oracle(line, Problem.DIAMETER, 3).method == "one-dim-dp"
+    plane = gen_random("uniform_cube", n=20, d=2, norm=L2, seed=3)
+    assert best_oracle(plane, Problem.DISCRETE_RADIUS, 3).method == "center-subset-enum"
+    assert best_oracle(plane, Problem.DIAMETER, 3) is None
+    for k in (0, len(plane.points) + 1):
+        with pytest.raises(ValueError):
+            best_oracle(plane, Problem.DIAMETER, k)
+    small = gen_random("uniform_cube", n=8, d=2, norm=L2, seed=3)
+    res = best_oracle(small, Problem.RADIUS, 3)
+    assert res.method == "partition-enum"
+    assert res.opt_cost == optimal_by_partition_enum(small, 3, Problem.RADIUS).opt_cost
+    cube = gen_hypercube_l1(8).instance
+    assert best_oracle(cube, Problem.DISCRETE_RADIUS, len(cube) // 2) is None
 
 
 def test_volume_lemma_single_ball_bound():
