@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .metrics import (
+    LINF,
     Cluster,
     Instance,
     Problem,
@@ -195,82 +196,127 @@ class MergeHistory:
 
 
 class _PairTable:
-    """Reported merge cost of every pair of live cluster ids, in a
-    (2n - 1)^2 table: the singleton pairs are costed when it is built, and a
-    merged cluster's row against every other live cluster when it is made
-    (``merged``)."""
+    """Reported merge cost of every pair of live cluster ids, and the
+    minimum of each row.
 
-    def __init__(self, n: int):
-        self.m = np.zeros((2 * n - 1, 2 * n - 1))
+    ``m`` is a (2n - 1)^2 table: the singleton pairs are costed when it is
+    built, and a merged cluster's row against every other live cluster when
+    it is made (``merge``).  Dead and unborn ids and the diagonal hold inf,
+    so ``rowmin[i] == m[i].min()`` for every id and a step's best cost is
+    ``rowmin.min()``.  Subclasses cost a new cluster's row in ``_row``.
+    """
 
-    def cost(self, a: int, b: int) -> float:
-        return float(self.m[a, b])
+    def __init__(self, pair_costs: np.ndarray):
+        n = len(pair_costs)
+        self.m = np.full((2 * n - 1, 2 * n - 1), math.inf)
+        self.m[:n, :n] = pair_costs
+        np.fill_diagonal(self.m, math.inf)
+        self.rowmin = self.m.min(axis=1)
+        self.live = np.zeros(2 * n - 1, dtype=bool)
+        self.live[:n] = True
 
-    def pair_cost_table(self, ids: list[int]) -> np.ndarray:
-        return self.m[np.ix_(ids, ids)]
+    def merge(self, a: int, b: int, new: int) -> None:
+        """Retire ``a`` and ``b`` and cost ``new`` against every other live id."""
+        m, rowmin = self.m, self.rowmin
+        self.live[[a, b]] = False
+        others = np.flatnonzero(self.live)
+        row = self._row(a, b, new, others)
+        # a row whose minimum was its entry to a or b is rescanned; any other
+        # row keeps its minimum unless the new entry is smaller
+        old = rowmin[others]
+        stale = others[(m[others, a] == old) | (m[others, b] == old)]
+        m[[a, b], :] = math.inf
+        m[:, [a, b]] = math.inf
+        rowmin[[a, b]] = math.inf
+        m[new, others] = row
+        m[others, new] = row
+        rowmin[others] = np.minimum(old, row)
+        rowmin[new] = row.min()
+        if stale.size:
+            rowmin[stale] = m[stale].min(axis=1)
+        self.live[new] = True
 
 
 class _DiameterCosts(_PairTable):
-    """Complete linkage.
+    """Complete linkage, and radius linkage under l_inf or in one dimension.
 
     diam(A u B u C) = max(diam(A u C), diam(B u C), diam(A u B)), so the row
     for a merged cluster is an elementwise max; no union is ever re-scanned.
     The max commutes with the monotone root, so entries can be roots from
-    the start.
+    the start.  Under l_inf and in one dimension the enclosing radius is half
+    the largest coordinate span, and spans decompose over unions the same
+    way: there the entries are half the l_inf powered distances, equal to
+    ``radius()`` bit for bit because rounding and halving are monotone.
+    (Halving a root instead would not be: in 1-d l2, ``sqrt(x * x)``
+    underflows for x below about 1e-154.)
+    """
+
+    def _row(self, a: int, b: int, new: int, others: np.ndarray) -> np.ndarray:
+        m = self.m
+        return np.maximum(np.maximum(m[a, others], m[b, others]), m[a, b])
+
+
+class _EccentricityCosts(_PairTable):
+    """Discrete-radius linkage through eccentricity vectors.
+
+    e_A[c] is the largest powered distance from point c to a member of A, so
+    e_{A u B} = max(e_A, e_B), and drad(A u B) is the root of the minimum of
+    e_{A u B} over the members of A u B.  Max and min are exact, so the
+    costs equal ``discrete_radius()`` bit for bit.
     """
 
     def __init__(self, inst: Instance):
-        n = len(inst.points)
-        super().__init__(n)
-        self.m[:n, :n] = unpower_array(powered_matrix(inst), inst.norm)
+        dpow = powered_matrix(inst)
+        n = len(dpow)
+        super().__init__(unpower_array(dpow, inst.norm))
+        self.norm = inst.norm
+        self.ecc = np.empty((2 * n - 1, n))
+        self.ecc[:n] = dpow.T
+        self.member = np.zeros((2 * n - 1, n), dtype=bool)
+        np.fill_diagonal(self.member, True)
 
-    def merged(self, a: int, b: int, new: int, others: list[int]) -> None:
-        if not others:
-            return
-        idx = np.asarray(others)
-        row = np.maximum(self.m[a, idx], self.m[b, idx])
-        row = np.maximum(row, self.m[a, b])
-        self.m[new, idx] = row
-        self.m[idx, new] = row
+    def _row(self, a: int, b: int, new: int, others: np.ndarray) -> np.ndarray:
+        self.ecc[new] = np.maximum(self.ecc[a], self.ecc[b])
+        self.member[new] = self.member[a] | self.member[b]
+        ecc = np.maximum(self.ecc[others], self.ecc[new])
+        ecc[~(self.member[others] | self.member[new])] = math.inf
+        return unpower_array(ecc.min(axis=1), self.norm)
 
 
 class _RecomputeCosts(_PairTable):
-    """Radius and discrete-radius linkage.
+    """Radius linkage under l2 and general p.
 
     No exact union decomposition exists for these costs, so every pair of
     live clusters is costed once, on its union.
     """
 
-    def __init__(self, inst: Instance, linkage: Problem, members: dict[int, tuple[int, ...]]):
+    def __init__(self, inst: Instance, members: dict[int, tuple[int, ...]]):
         n = len(inst.points)
-        super().__init__(n)
         self.inst = inst
         self.members = members
-        self.dpow = powered_matrix(inst) if linkage is Problem.DISCRETE_RADIUS else None
+        pairs = np.zeros((n, n))
         for a in range(n):
             for b in range(a + 1, n):
-                self._fill(a, b)
+                pairs[a, b] = pairs[b, a] = self._cost(a, b)
+        super().__init__(pairs)
 
-    def _fill(self, a: int, b: int) -> None:
-        ids = sorted(self.members[a] + self.members[b])
-        if self.dpow is not None:
-            sub = self.dpow[np.ix_(ids, ids)]
-            val = unpower(float(sub.max(axis=1).min()), self.inst.norm)
-        else:
-            val = radius(ids, self.inst).radius
-        self.m[a, b] = self.m[b, a] = val
+    def _cost(self, a: int, b: int) -> float:
+        return radius(sorted(self.members[a] + self.members[b]), self.inst).radius
 
-    def merged(self, a: int, b: int, new: int, others: list[int]) -> None:
+    def _row(self, a: int, b: int, new: int, others: np.ndarray) -> np.ndarray:
         # ascending ids, the order a full pair scan visits them in, so a run
         # whose ball solver fails has made the calls such a scan would have
-        for c in sorted(others):
-            self._fill(c, new)
+        return np.array([self._cost(c, new) for c in others.tolist()])
 
 
-def _make_backend(inst: Instance, linkage: Problem, members: dict[int, tuple[int, ...]]):
+def _make_backend(inst: Instance, linkage: Problem, members: dict[int, tuple[int, ...]]) -> _PairTable:
     if linkage is Problem.DIAMETER:
-        return _DiameterCosts(inst)
-    return _RecomputeCosts(inst, linkage, members)
+        return _DiameterCosts(unpower_array(powered_matrix(inst), inst.norm))
+    if linkage is Problem.DISCRETE_RADIUS:
+        return _EccentricityCosts(inst)
+    if inst.norm.is_infinity or inst.dim == 1:
+        return _DiameterCosts(powered_matrix(replace(inst, norm=LINF)) / 2.0)
+    return _RecomputeCosts(inst, members)
 
 
 # ---------------------------------------------------------------------------
@@ -301,33 +347,22 @@ def _greedy(
         return steps
     members: dict[int, tuple[int, ...]] = {i: (i,) for i in range(n)}
     mins: dict[int, int] = {i: i for i in range(n)}
-    backend = _make_backend(inst, linkage, members)
-    active: list[int] = list(range(n))
+    table = _make_backend(inst, linkage, members)
+    m, rowmin, live = table.m, table.rowmin, table.live
 
     for t in range(total_steps):
-        ids = sorted(active)
-        scripted_step = t < len(scripted)
-        table = backend.pair_cost_table(ids)
-        masked = np.where(np.triu(np.ones(table.shape, dtype=bool), k=1), table, math.inf)
-        best = float(masked.min())
+        best = float(rowmin.min())
         band = _tie_band(best)
-        tied = []
-        if not scripted_step:
-            ti, tj = np.nonzero(masked <= band)
-            tied = [(ids[i], ids[j]) for i, j in zip(ti.tolist(), tj.tolist())]
-        if margins is not None:
-            above = masked[masked > band]
-            margins.append(float(above.min()) - best if above.size else math.inf)
 
-        if scripted_step:
+        if t < len(scripted):
             sa, sb = scripted[t]
-            if sa not in members or sb not in members or sa not in active or sb not in active:
+            if sa not in members or sb not in members:
                 raise ScriptViolationError(
                     t, None, best,
                     f"script step {t} references cluster ids ({sa}, {sb}) that do not "
                     f"both exist at that step",
                 )
-            cost = backend.cost(sa, sb)
+            cost = float(m[sa, sb])
             if cost > band:
                 raise ScriptViolationError(
                     t, cost, best,
@@ -336,14 +371,26 @@ def _greedy(
                 )
             pick = (sa, sb) if sa < sb else (sb, sa)
         else:
+            # every tied pair lies in rows whose minimum is within the band;
+            # the inf entries of dead ids pass only an infinite band
+            rows = np.flatnonzero((rowmin <= band) & live)
+            sub = m[rows]
+            ti, tj = np.nonzero(sub <= band)
+            ti = rows[ti]
+            keep = (ti < tj) & live[tj]
+            tied = zip(ti[keep].tolist(), tj[keep].tolist())
             pick = min(tied, key=lambda ab: (min(mins[ab[0]], mins[ab[1]]),
                                              max(mins[ab[0]], mins[ab[1]])))
-            cost = backend.cost(*pick)
+            cost = float(m[pick])
+            if margins is not None:
+                # the smallest entry above the band is a row minimum, or an
+                # entry of a row whose minimum is in the band
+                above = min(rowmin[rowmin > band].min(initial=math.inf),
+                            sub[sub > band].min(initial=math.inf))
+                margins.append(float(above) - best if above < math.inf else math.inf)
 
         a, b = pick
         new_id = n + t
-        active.remove(a)
-        active.remove(b)
         union = tuple(sorted(members.pop(a) + members.pop(b)))
         members[new_id] = union
         mins[new_id] = min(mins[a], mins[b])
@@ -351,8 +398,7 @@ def _greedy(
         # the last cluster's row would never be scanned; for radius linkage
         # it would cost one enclosing ball per remaining cluster
         if t + 1 < total_steps:
-            backend.merged(a, b, new_id, active)
-        active.append(new_id)
+            table.merge(a, b, new_id)
 
     return steps
 

@@ -78,7 +78,7 @@ class Norm:
         return f"lp{self.p:g}"
 
     def __repr__(self) -> str:
-        return f"Norm({'inf' if self.is_infinity else self.p:g})"
+        return f"Norm({self.p:g})"
 
 
 L1 = Norm(1.0)
@@ -227,8 +227,11 @@ def powered_distance(a: Sequence[float], b: Sequence[float], norm: Norm) -> floa
         for x, y in zip(a, b):
             total += abs(x - y)
     else:
-        for x, y in zip(a, b):
-            total += abs(x - y) ** p
+        try:
+            for x, y in zip(a, b):
+                total += abs(x - y) ** p
+        except OverflowError:  # float ** raises where np.float_power gives inf
+            return math.inf
     return total
 
 
@@ -256,11 +259,13 @@ def powered_row_blocks(pts: np.ndarray, norm: Norm) -> Iterator[tuple[int, np.nd
     distance between rows ``start + i`` and ``j``.
 
     Each entry is computed alone, so the values do not depend on the block
-    size.  For general p the terms are accumulated left to right, and each
-    is raised by ``np.float_power``, which calls the C library's ``pow`` as
-    Python's float ``**`` does; so every entry equals :func:`powered_distance`
-    bit for bit (numpy's ``**`` has its own SIMD routine, which differs from
-    ``pow`` in the last bit on about 5 % of inputs).
+    size.  The terms are accumulated left to right, as in
+    :func:`powered_distance` (``sum`` over an axis adds eight or more terms
+    pairwise), and general-p terms are raised by ``np.float_power``, which
+    calls the C library's ``pow`` as Python's float ``**`` does; so every
+    entry equals :func:`powered_distance` bit for bit (numpy's ``**`` has its
+    own SIMD routine, which differs from ``pow`` in the last bit on about 5 %
+    of inputs).
     """
     n, d = pts.shape
     rows = max(1, _BLOCK_ELEMENTS // max(n * d, 1))
@@ -269,15 +274,15 @@ def powered_row_blocks(pts: np.ndarray, norm: Norm) -> Iterator[tuple[int, np.nd
         diff = np.abs(pts[start:start + rows, None, :] - pts[None, :, :])
         if math.isinf(p):
             block = diff.max(axis=-1)
-        elif p == 2.0:
-            block = (diff * diff).sum(axis=-1)
-        elif p == 1.0:
-            block = diff.sum(axis=-1)
         else:
-            terms = np.float_power(diff, p)
-            block = terms[..., 0].copy()
+            # the terms replace the differences in place
+            if p == 2.0:
+                diff *= diff
+            elif p != 1.0:
+                np.float_power(diff, p, out=diff)
+            block = diff[..., 0].copy()
             for j in range(1, d):
-                block += terms[..., j]
+                block += diff[..., j]
         yield start, block
 
 

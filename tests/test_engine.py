@@ -6,16 +6,22 @@ from hypothesis import given, settings, strategies as st
 
 from agglolab import (
     Instance,
+    L1,
     L2,
     LINF,
     MergeScript,
+    MergeStep,
+    Norm,
     Problem,
     ScriptViolationError,
     agglomerate,
     agglomerate_nn_chain,
+    cluster_cost,
     diameter,
     greedy_tie_margin,
+    radius,
 )
+from agglolab.engine import TIE_ABS_TOL, TIE_REL_TOL
 from agglolab.forge import gen_line_1d, gen_linf_2d, gen_random
 from agglolab.oracles import optimal_by_partition_enum, optimal_diameter_1d
 
@@ -104,6 +110,17 @@ def test_tie_band_dip_regression():
     h = agglomerate(inst, Problem.DIAMETER)
     h.check_invariants(deep=True)
     assert h.steps[0].cost == pytest.approx(h.steps[1].cost, rel=1e-12)
+
+
+def test_infinite_costs_tie_and_merge():
+    # squared l2 distances overflow to inf; every pair then ties at inf and
+    # the run merges lexicographically instead of picking a dead id
+    inst = Instance.from_points("huge", [(1e200,), (-1e200,), (0.0,)], L2)
+    with np.errstate(over="ignore"):
+        for problem in (Problem.DIAMETER, Problem.DISCRETE_RADIUS):
+            h = agglomerate(inst, problem)
+            h.check_invariants(deep=True)
+            assert [(s.id_a, s.id_b, s.cost) for s in h.steps] == [(0, 1, math.inf), (2, 3, math.inf)]
 
 
 def test_cost_at_k_boundaries():
@@ -257,26 +274,91 @@ def test_nn_chain_on_exact_ties_is_a_valid_greedy_run():
             assert len(costs) == len(inst) - 1
 
 
-def test_radius_linkage_costs_each_live_pair_once():
-    # singleton pairs, then each new cluster against the others still live,
-    # except the cluster made by the last step: 66 + (10 + 9 + ... + 4)
+def _reference_greedy(inst, problem):
+    """Brute-force greedy run: each step costs every live pair with the
+    scalar ``cluster_cost``, lists the pairs within the tie band and merges
+    the lexicographically smallest by member minima.  Returns the steps and
+    the tie margin."""
+    n = len(inst)
+    members = {i: (i,) for i in range(n)}
+    steps, margins = [], []
+    for t in range(n - 1):
+        ids = sorted(members)
+        costs = {(a, b): cluster_cost(problem, members[a] + members[b], inst)
+                 for i, a in enumerate(ids) for b in ids[i + 1:]}
+        best = min(costs.values())
+        band = best + max(TIE_REL_TOL * abs(best), TIE_ABS_TOL)
+        above = [c for c in costs.values() if c > band]
+        margins.append(min(above) - best if above else math.inf)
+        tied = [ab for ab, c in costs.items() if c <= band]
+        a, b = min(tied, key=lambda ab: sorted((members[ab[0]][0], members[ab[1]][0])))
+        union = tuple(sorted(members.pop(a) + members.pop(b)))
+        members[n + t] = union
+        steps.append(MergeStep(a, b, costs[a, b], n + t, len(union)))
+    return tuple(steps), min(margins, default=math.inf)
+
+
+def _count_engine_radius_calls(monkeypatch):
     import agglolab.engine as engine
 
     calls = []
-    real = engine.radius
 
     def counting(*args, **kwargs):
         calls.append(args[0])
-        return real(*args, **kwargs)
+        return radius(*args, **kwargs)
 
+    monkeypatch.setattr(engine, "radius", counting)
+    return calls
+
+
+def test_radius_linkage_costs_each_live_pair_once(monkeypatch):
+    # singleton pairs, then each new cluster against the others still live,
+    # except the cluster made by the last step: 66 + (10 + 9 + ... + 4)
+    calls = _count_engine_radius_calls(monkeypatch)
     inst = gen_random("uniform_cube", n=12, d=2, norm=L2, seed=5)
-    try:
-        engine.radius = counting
-        hist = agglomerate(inst, Problem.RADIUS, stop_at_k=4)
-    finally:
-        engine.radius = real
+    hist = agglomerate(inst, Problem.RADIUS, stop_at_k=4)
     assert len(calls) == 115
     assert hist.final_level == 4
+
+
+def test_engine_matches_brute_force_reference(monkeypatch):
+    # uniform draws and integer coordinates with exact ties; radius linkage
+    # runs where the ball solver is exact (l2, l_inf, and any norm in 1-d)
+    calls = _count_engine_radius_calls(monkeypatch)
+    checked = 0
+    for d in (1, 2, 3):
+        for norm in (L1, L2, LINF):
+            for seed in range(2):
+                rng = np.random.default_rng(40 * d + seed)
+                ties = rng.integers(0, 4, size=(9, d)).astype(float).tolist()
+                for inst in (Instance.from_points("ties", ties, norm),
+                             gen_random("uniform_cube", n=9, d=d, norm=norm, seed=700 + 10 * d + seed)):
+                    for problem in Problem:
+                        if problem is Problem.RADIUS and norm is L1 and d > 1:
+                            continue
+                        steps, margin = _reference_greedy(inst, problem)
+                        assert agglomerate(inst, problem).steps == steps
+                        assert greedy_tie_margin(inst, problem) == margin
+                        checked += 1
+    assert checked == 100
+    # only l2 radius runs in d > 1 call the ball solver
+    assert calls
+
+
+def test_radius_linkage_by_spans_matches_ball_solver(monkeypatch):
+    # under l_inf and in 1-d the radius is half the largest coordinate span,
+    # so the engine costs pairs without the ball solver; the reference costs
+    # them with it, and the two agree bit for bit, also on points 1e-160
+    # apart, where the root of a squared l2 distance underflows
+    calls = _count_engine_radius_calls(monkeypatch)
+    tiny = Instance.from_points("tiny", [(i * 1e-160,) for i in (3, 0, 7, 1, 9, 4, 2)], L2)
+    lp = gen_random("uniform_cube", n=10, d=1, norm=Norm(1.5), seed=18)
+    cube = gen_random("uniform_cube", n=10, d=3, norm=LINF, seed=19)
+    for inst in (tiny, lp, cube):
+        steps, margin = _reference_greedy(inst, Problem.RADIUS)
+        assert agglomerate(inst, Problem.RADIUS).steps == steps
+        assert greedy_tie_margin(inst, Problem.RADIUS) == margin
+    assert calls == []
 
 
 def test_dendrogram_text_format():

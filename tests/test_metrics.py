@@ -37,6 +37,9 @@ def test_norm_labels():
     assert L2.label == "l2"
     assert LINF.label == "linf"
     assert Norm(2.5).label == "lp2.5"
+    assert repr(LINF) == "Norm(inf)"
+    assert repr(L2) == "Norm(2)"
+    assert repr(Norm(1.5)) == "Norm(1.5)"
 
 
 def test_distance_identity_any_norm():
@@ -192,6 +195,24 @@ def test_powered_matrix_matches_scalar_path():
         for i in range(0, 300, 7):
             for j in range(300):
                 assert mat[i, j] == powered_distance(inst.points[i], inst.points[j], norm)
+    # at d >= 8 a summed axis is added pairwise, the scalar path left to right
+    pts = rng.uniform(0.0, 1.0, size=(40, 8)).tolist()
+    for norm in (L1, L2):
+        inst = Instance.from_points("d8", pts, norm)
+        mat = powered_matrix(inst)
+        for i in range(40):
+            for j in range(40):
+                assert mat[i, j] == powered_distance(inst.points[i], inst.points[j], norm)
+
+
+def test_overflowing_powers_are_infinite_on_every_path():
+    # Python's float ** raises OverflowError where np.float_power gives inf
+    norm = Norm(1.5)
+    inst = Instance.from_points("huge", [(0.0, 0.0), (1e300, 0.0)], norm)
+    assert powered_distance(inst.points[0], inst.points[1], norm) == math.inf
+    with np.errstate(over="ignore"):
+        assert powered_matrix(inst)[0, 1] == math.inf
+    assert diameter((0, 1), inst) == math.inf
 
 
 def test_unpower_array_matches_scalar_root():
@@ -305,10 +326,11 @@ def test_enclosing_ball_membership_and_grid_agreement(points):
 def test_cached_cluster_values_are_exact_copies():
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.0, 1.0, size=(12, 2))
+    pts8 = rng.uniform(0.0, 1.0, size=(40, 8))
     from agglolab import agglomerate
 
-    for norm in (L2, Norm(1.5), Norm(3.0)):
-        inst = Instance.from_points("cache", pts.tolist(), norm)
+    for norm, coords in ((L2, pts), (Norm(1.5), pts), (Norm(3.0), pts), (L2, pts8)):
+        inst = Instance.from_points("cache", coords.tolist(), norm)
         hist = agglomerate(inst, Problem.DIAMETER)
         for c in hist.clusters_at_k(4):
             assert c.cached_diameter == diameter(c, inst)
