@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .metrics import Problem
 
-__all__ = ["BoundFormula", "bound_value", "bound_formula", "LEVELS"]
+__all__ = ["BoundFormula", "bound_value", "bound_formula", "render_bound", "LEVELS"]
 
 LEVELS = ("at-k", "two-k")
 
@@ -40,7 +40,12 @@ class BoundFormula:
         return math.isinf(self.value)
 
     def render(self) -> str:
-        return "astronomical" if self.astronomical else f"{self.value:.12g}"
+        return render_bound(self.value)
+
+
+def render_bound(value: float) -> str:
+    """12 significant digits, or "astronomical" past the double range."""
+    return "astronomical" if math.isinf(value) else f"{value:.12g}"
 
 
 def _pow2(exponent: float) -> float:

@@ -12,7 +12,6 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .bounds import LEVELS, bound_formula
@@ -28,8 +27,8 @@ from .forge import (
     write_case,
     write_instance,
 )
-from .harness import SUITE_NAMES, verify_suite
-from .metrics import L2, LINF, Norm
+from .harness import verify_suite
+from .metrics import L2, Norm
 from .oracles import CoverableSample, best_oracle
 
 EXIT_OK = 0
@@ -38,15 +37,15 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 _PROBLEMS = {p.value: p for p in Problem}
-_NORMS = {"l1": Norm(1.0), "l2": L2, "linf": LINF}
 
 
 def _parse_norm(label: str) -> Norm:
-    if label in _NORMS:
-        return _NORMS[label]
-    if label.startswith("lp"):
-        return Norm(float(label[2:]))
-    raise argparse.ArgumentTypeError(f"unknown norm {label!r} (use l1, l2, linf or lp<p>)")
+    """Inverse of :attr:`Norm.label`: ``l<p>``, ``lp<p>`` or ``linf``."""
+    digits = label[2:] if label.startswith("lp") else label[1:] if label.startswith("l") else ""
+    try:
+        return Norm(float(digits))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"unknown norm {label!r} (use l<p>, lp<p> or linf)") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -43,15 +43,16 @@ __all__ = [
     "MergeScript", "MergeStep", "MergeHistory",
     "ScriptViolationError",
     "agglomerate", "agglomerate_nn_chain", "greedy_tie_margin",
-    "TIE_REL_TOL", "TIE_ABS_TOL",
+    "TIE_REL_TOL", "TIE_ABS_TOL", "tie_width",
 ]
 
 TIE_REL_TOL = 1e-9
 TIE_ABS_TOL = 1e-12
 
 
-def _tie_band(best: float) -> float:
-    return best + max(TIE_REL_TOL * abs(best), TIE_ABS_TOL)
+def tie_width(cost: float) -> float:
+    """How far from ``cost`` another cost may lie and still count as tied."""
+    return max(TIE_REL_TOL * abs(cost), TIE_ABS_TOL)
 
 
 class ScriptViolationError(ValueError):
@@ -160,7 +161,7 @@ class MergeHistory:
         for t, step in enumerate(self.steps):
             if step.new_id != n + t:
                 raise ValueError(f"step {t}: new cluster id {step.new_id}, expected {n + t}")
-            if step.cost < prev_cost - max(TIE_REL_TOL * prev_cost, TIE_ABS_TOL):
+            if step.cost < prev_cost - tie_width(prev_cost):
                 raise ValueError(
                     f"step {t}: cost {step.cost!r} decreased below previous {prev_cost!r} "
                     f"beyond the tie tolerance"
@@ -352,7 +353,7 @@ def _greedy(
 
     for t in range(total_steps):
         best = float(rowmin.min())
-        band = _tie_band(best)
+        band = best + tie_width(best)
 
         if t < len(scripted):
             sa, sb = scripted[t]

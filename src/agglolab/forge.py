@@ -422,7 +422,10 @@ def _load(path: str | Path) -> dict:
 
 
 def read_instance(path: str | Path) -> Instance:
-    data = _load(path)
+    return _instance_from(_load(path))
+
+
+def _instance_from(data: dict) -> Instance:
     name = _require(data, "name")
     dim = _require(data, "dim")
     norm = _norm_from_json(_require(data, "norm"))
@@ -442,7 +445,7 @@ def read_instance(path: str | Path) -> Instance:
 
 def read_case(path: str | Path) -> GeneratedCase:
     data = _load(path)
-    inst = read_instance(path)
+    inst = _instance_from(data)
     script = None
     if "script" in data:
         raw = data["script"]

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import bound_value
+from .bounds import bound_value, render_bound
 from .engine import MergeHistory, MergeScript, agglomerate, agglomerate_nn_chain, greedy_tie_margin
 from .forge import (
     GeneratedCase,
@@ -101,14 +101,10 @@ class RatioReport:
             f"{self.opt_cost:.12g}",
             self.opt_kind,
             f"{self.ratio:.12g}",
-            _fmt_bound(self.bound),
+            render_bound(self.bound),
             "true" if self.bound_satisfied else "false",
             f"{self.ms:.3f}",
         ])
-
-
-def _fmt_bound(value: float) -> str:
-    return "astronomical" if math.isinf(value) else f"{value:.12g}"
 
 
 @dataclass(frozen=True)

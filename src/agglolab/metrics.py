@@ -37,7 +37,7 @@ __all__ = [
     "Problem",
     "Instance", "Cluster", "BallCover", "EnclosingBall",
     "SolverError",
-    "distance", "powered_distance", "unpower", "powered_matrix", "distance_matrix",
+    "distance", "powered_distance", "unpower", "powered_matrix",
     "diameter", "discrete_radius", "radius", "cluster_cost",
 ]
 
@@ -306,11 +306,6 @@ def unpower_array(values: np.ndarray, norm: Norm) -> np.ndarray:
     return np.float_power(values, 1.0 / p)
 
 
-def distance_matrix(inst: Instance) -> np.ndarray:
-    """(n, n) matrix of actual pairwise distances."""
-    return unpower_array(powered_matrix(inst), inst.norm)
-
-
 # ---------------------------------------------------------------------------
 # cluster costs
 
@@ -381,7 +376,7 @@ def radius(c, inst: Instance) -> EnclosingBall:
     if len(pts) == 1:
         return EnclosingBall(0.0, pts[0], approximate=False)
     if norm.is_infinity or inst.dim == 1:
-        return _midrange_ball(pts, norm)
+        return _midrange_ball(pts)
     if norm.p == 2.0:
         return _euclidean_ball(pts)
     return _iterative_ball(pts, norm)
@@ -402,17 +397,13 @@ def cluster_cost(problem: Problem, c, inst: Instance) -> float:
 # enclosing-ball solvers
 
 
-def _midrange_ball(pts: list[tuple[float, ...]], norm: Norm) -> EnclosingBall:
+def _midrange_ball(pts: list[tuple[float, ...]]) -> EnclosingBall:
     # Exact for linf in any dimension, and for any norm in dimension 1:
     # the ball is an axis box, so each coordinate centers independently.
     arr = np.asarray(pts, dtype=float)
-    lo = arr.min(axis=0)
-    hi = arr.max(axis=0)
+    lo, hi = arr.min(axis=0), arr.max(axis=0)
     center = (lo + hi) / 2.0
-    if norm.is_infinity or arr.shape[1] == 1:
-        rad = float((hi - lo).max() / 2.0)
-    else:  # pragma: no cover - callers route 1-d / linf only
-        rad = max(distance(p, center, norm) for p in pts)
+    rad = float((hi - lo).max() / 2.0)
     return EnclosingBall(rad, tuple(float(x) for x in center), approximate=False)
 
 
@@ -441,6 +432,13 @@ def _circumball(boundary: list[np.ndarray]) -> tuple[np.ndarray | None, float]:
 
 def _euclidean_ball(pts: list[tuple[float, ...]]) -> EnclosingBall:
     d = len(pts[0])
+    arr = np.asarray(pts, dtype=float)
+    # infinite where a squared distance overflows, as in powered_distance;
+    # none can while every coordinate is within 1e150 (and d < 4e7)
+    if float(np.abs(arr).max()) > 1e150 and math.isinf(
+        max(powered_distance(p, q, L2) for i, p in enumerate(pts) for q in pts[i + 1:])
+    ):
+        return EnclosingBall(math.inf, tuple((arr.min(axis=0) / 2 + arr.max(axis=0) / 2).tolist()))
     order = [np.asarray(p, dtype=float) for p in pts]
     random.Random(0x5EED).shuffle(order)  # fixed seed: result is deterministic
 
@@ -460,7 +458,6 @@ def _euclidean_ball(pts: list[tuple[float, ...]]) -> EnclosingBall:
         return center, r2
 
     center, _ = solve(len(order), [])
-    arr = np.asarray(pts, dtype=float)
     diffs = arr - center
     rad = math.sqrt(float((diffs * diffs).sum(axis=1).max()))
     return EnclosingBall(rad, tuple(float(x) for x in center), approximate=False)

@@ -8,9 +8,9 @@ Three independent routes to an optimum:
 * ``optimal_discrete_kcenter``   -- enumerate k-subsets of the points as
   centers and assign every point to its nearest one; exact for the
   member-centered radius cost.
-* ``optimal_diameter_1d``        -- sort + dynamic programming over
-  contiguous segments; exact for the diameter cost in dimension 1, where
-  optimal clusters are intervals.
+* ``optimal_diameter_1d``        -- sort + greedy interval cover with an
+  exact bisection over candidate spans; exact for the diameter cost in
+  dimension 1, where optimal clusters are intervals.
 
 ``best_oracle`` routes one (problem, k) request to the cheapest of them that
 applies; every caller that wants an optimum goes through it.
@@ -23,12 +23,14 @@ two of its points are within 4 r (k/|P|)^(1/d) of each other.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
+from .engine import tie_width
 from .metrics import (
     BallCover,
     Cluster,
@@ -166,9 +168,7 @@ def optimal_by_partition_enum(
             drad_memo[ids] = val
         return val
 
-    incumbent = math.inf if upper_bound is None else (
-        upper_bound + max(1e-9 * abs(upper_bound), 1e-12)
-    )
+    incumbent = math.inf if upper_bound is None else upper_bound + tie_width(upper_bound)
     best_blocks: list[tuple[int, ...]] | None = None
     best_cost = math.inf
 
@@ -285,10 +285,13 @@ def optimal_discrete_kcenter(inst: Instance, k: int) -> OracleResult:
 
 
 def optimal_diameter_1d(inst: Instance, k: int) -> OracleResult:
-    """Exact optimal diameter cost in dimension 1 via segment DP.
+    """Exact optimal diameter cost in dimension 1 by a greedy interval cover.
 
-    After sorting, some optimal partition uses contiguous segments, so the
-    minimum over segmentations of the maximum segment span is the optimum.
+    Some optimal partition splits the sorted values into runs, and a run's
+    span (the float difference of its ends) is monotone in both ends, so a
+    greedy cover needs the fewest runs for its span; the least span that k
+    runs cover is found exactly by bisecting over the bit patterns of the
+    non-negative doubles, which sort as the doubles do.
     """
     if inst.dim != 1:
         raise ValueError(f"one-dimensional oracle got dim={inst.dim}")
@@ -297,35 +300,30 @@ def optimal_diameter_1d(inst: Instance, k: int) -> OracleResult:
     order = sorted(range(n), key=lambda i: inst.points[i][0])
     vals = [inst.points[i][0] for i in order]
 
-    inf = math.inf
-    # best[m][j]: minimal max-span splitting vals[0..j] into m+1 segments
-    best = [[inf] * n for _ in range(k)]
-    split = [[-1] * n for _ in range(k)]
-    for j in range(n):
-        best[0][j] = vals[j] - vals[0]
-    for m in range(1, k):
-        for j in range(m, n):
-            choice = inf
-            where = -1
-            for i in range(m - 1, j):
-                cand = max(best[m - 1][i], vals[j] - vals[i + 1])
-                if cand < choice:
-                    choice = cand
-                    where = i
-            best[m][j] = choice
-            split[m][j] = where
-    opt = best[k - 1][n - 1]
-    blocks: list[list[int]] = []
-    j = n - 1
-    for m in range(k - 1, -1, -1):
-        i = split[m][j] if m > 0 else -1
-        blocks.append([order[t] for t in range(i + 1, j + 1)])
-        j = i
+    def cuts(span: float) -> list[int] | None:
+        """Starts of the greedy cover's runs, each cut short to leave a point
+        for every later run: exactly k runs, or None if k fall short."""
+        starts = [0]
+        while len(starts) <= k:
+            first = vals[starts[-1]]
+            end = bisect_right(vals, span, lo=starts[-1], key=lambda v: v - first)
+            end = min(end, n - k + len(starts))
+            if end == n:
+                return starts
+            starts.append(end)
+        return None
+
+    def double(bits: int) -> float:
+        return float(np.int64(bits).view(np.float64))
+
+    top = int(np.float64(vals[-1] - vals[0]).view(np.int64))
+    opt = double(bisect_left(range(top + 1), True, key=lambda b: cuts(double(b)) is not None))
+    starts = cuts(opt)
     return OracleResult(
         problem=Problem.DIAMETER,
         k=k,
-        opt_cost=float(opt),
-        partition=_sorted_clusters(blocks),
+        opt_cost=opt,
+        partition=_sorted_clusters([order[a:b] for a, b in zip(starts, starts[1:] + [n])]),
         method="one-dim-dp",
     )
 
@@ -339,7 +337,7 @@ def best_oracle(
     """Exact optimum from the cheapest oracle that applies, or None when the
     instance is past every oracle's budget.
 
-    One-dimensional diameter goes to the segment DP, discrete radius to
+    One-dimensional diameter goes to the interval cover, discrete radius to
     center enumeration while C(n, k) fits its budget, and anything else with
     n <= ``PARTITION_ENUM_MAX_N`` to partition enumeration, which
     ``upper_bound`` (a cost some k-partition achieves) helps prune.

@@ -1,10 +1,14 @@
+import argparse
 import json
 import math
 
 import pytest
 
 from agglolab import (
+    L1,
     L2,
+    LINF,
+    Norm,
     Problem,
     evaluate,
     evaluate_case,
@@ -16,7 +20,7 @@ from agglolab import (
     write_case,
     write_instance,
 )
-from agglolab.cli import main
+from agglolab.cli import _parse_norm, main
 from agglolab.harness import CSV_HEADER, write_csv, write_json_report
 
 
@@ -157,6 +161,21 @@ def test_cli_oracle_bad_k_is_a_usage_error(tmp_path):
                  "--out", str(path)]) == 0
     assert main(["oracle", "--instance", str(path), "--problem", "diameter",
                  "--k", "0"]) == 2
+
+
+def test_cli_norm_parses_every_printed_label(tmp_path):
+    for norm in (L1, L2, LINF, Norm(3.0), Norm(1.5)):
+        assert _parse_norm(norm.label) == norm
+    assert _parse_norm("lp2") == L2
+    for label in ("l0.5", "p2", "lfoo", "l"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_norm(label)
+    path = tmp_path / "l3.json"
+    assert main(["generate", "--family", "uniform-cube", "--n", "8", "--norm", "l3",
+                 "--out", str(path)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--family", "uniform-cube", "--norm", "l0.5", "--out", str(path)])
+    assert exc.value.code == 2
 
 
 def test_cli_parse_error_exit_code(tmp_path):

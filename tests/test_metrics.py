@@ -12,6 +12,7 @@ from agglolab import (
     LINF,
     Norm,
     Problem,
+    agglomerate,
     cluster_cost,
     diameter,
     discrete_radius,
@@ -213,6 +214,19 @@ def test_overflowing_powers_are_infinite_on_every_path():
     with np.errstate(over="ignore"):
         assert powered_matrix(inst)[0, 1] == math.inf
     assert diameter((0, 1), inst) == math.inf
+    # l2: the squared extent overflows, so the ball is infinite like the
+    # diameter, and radius linkage ties every pair at inf as diameter does
+    wide = Instance.from_points("wide", [(1e200, 0.0), (-1e200, 0.0), (0.0, 1.0)], L2)
+    assert radius(range(3), wide).radius == math.inf
+    with np.errstate(over="ignore"):
+        by_diameter = agglomerate(wide, Problem.DIAMETER).steps
+    assert [s.cost for s in by_diameter] == [math.inf, math.inf]
+    assert agglomerate(wide, Problem.RADIUS).steps == by_diameter
+    # the bounding box's diagonal overflows here, but no squared distance does
+    a = 1e154
+    tilted = Instance.from_points("tilted", [(0.0, 0.0), (a, a / 2), (a / 2, a)], L2)
+    diam = diameter(range(3), tilted)
+    assert diam / 2 <= radius(range(3), tilted).radius < diam
 
 
 def test_unpower_array_matches_scalar_root():

@@ -15,6 +15,7 @@ from agglolab import (
     SizeLimitError,
     best_oracle,
     cluster_cost,
+    diameter,
     discrete_radius,
     distance,
     min_pairwise_distance,
@@ -143,6 +144,65 @@ def test_diameter_1d_matches_enum():
         dp = optimal_diameter_1d(inst, k)
         enum = optimal_by_partition_enum(inst, k, Problem.DIAMETER)
         assert dp.opt_cost == enum.opt_cost
+
+
+def _reference_diameter_1d(inst, k):
+    """Segment DP over the sorted values: the least largest span of a split
+    into k contiguous runs, as the float difference of a run's end values."""
+    n = len(inst)
+    vals = sorted(p[0] for p in inst.points)
+    # best[m][j]: least largest span splitting vals[0..j] into m+1 runs
+    best = [[math.inf] * n for _ in range(k)]
+    for j in range(n):
+        best[0][j] = vals[j] - vals[0]
+    for m in range(1, k):
+        for j in range(m, n):
+            for i in range(m - 1, j):
+                cand = max(best[m - 1][i], vals[j] - vals[i + 1])
+                if cand < best[m][j]:
+                    best[m][j] = cand
+    return best[k - 1][n - 1]
+
+
+def test_diameter_1d_matches_reference_dp():
+    rng = np.random.default_rng(41)
+    scales = [
+        lambda n: rng.uniform(-10.0, 10.0, n),
+        lambda n: rng.integers(-5, 6, n).astype(float),  # exact ties
+        lambda n: rng.integers(-1000, 1000, n) * 1e-160,
+        lambda n: rng.uniform(-1.0, 1.0, n) * 1e6,
+    ]
+    checked = 0
+    for t in range(60):
+        n = int(rng.integers(1, 61))
+        norm = (L1, L2, LINF)[t % 3]
+        values = scales[t % 4](n)
+        inst = Instance.from_points(f"line{t}", [(float(v),) for v in values], norm)
+        for k in sorted({1, n, *(int(k) for k in rng.integers(1, n + 1, size=3))}):
+            res = optimal_diameter_1d(inst, k)
+            assert repr(res.opt_cost) == repr(_reference_diameter_1d(inst, k))
+            assert len(res.partition) == k
+            assert sorted(m for c in res.partition for m in c.members) == list(range(n))
+            runs = [sorted(inst.points[m][0] for m in c.members) for c in res.partition]
+            runs.sort()
+            assert all(a[-1] <= b[0] for a, b in zip(runs, runs[1:]))  # contiguous
+            assert max(r[-1] - r[0] for r in runs) == res.opt_cost
+            if norm is not L2 or t % 4 != 2:  # l2 squares of spans near 1e-160 underflow
+                assert max(diameter(c, inst) for c in res.partition) == res.opt_cost
+            checked += 1
+    assert checked >= 200
+    one = optimal_diameter_1d(_line("one", [5.0]), 1)
+    assert one.opt_cost == 0.0 and [c.members for c in one.partition] == [(0,)]
+    for n_param in (2, 3, 4, 5):
+        inst = gen_line_1d(n_param).instance
+        for k in (1, 4, 8):
+            assert repr(optimal_diameter_1d(inst, k).opt_cost) == repr(_reference_diameter_1d(inst, k))
+    # a span of -0.0 - 0.0 is -0.0 in the DP; the bisection reports +0.0,
+    # which is what the witness recosts to
+    zeros = _line("zeros", [0.0, -0.0])
+    assert repr(_reference_diameter_1d(zeros, 1)) == "-0.0"
+    res = optimal_diameter_1d(zeros, 1)
+    assert repr(res.opt_cost) == repr(diameter(res.partition[0], zeros)) == "0.0"
 
 
 def test_opt_nonincreasing_in_k():
