@@ -132,16 +132,9 @@ class MergeHistory:
         if k < self.final_level:
             raise ValueError(f"history truncated at level {self.final_level}; k={k} unavailable")
         members: dict[int, tuple[int, ...]] = {i: (i,) for i in range(n)}
-        costs: dict[int, float] = {i: 0.0 for i in range(n)}
         for step in self.steps[: n - k]:
-            members[step.new_id] = tuple(sorted(members.pop(step.id_a) + members.pop(step.id_b)))
-            costs[step.new_id] = step.cost
-        out = []
-        for cid in sorted(members, key=lambda c: members[c][0]):
-            cached_diam = costs[cid] if self.linkage is Problem.DIAMETER or len(members[cid]) == 1 else None
-            cached_drad = costs[cid] if self.linkage is Problem.DISCRETE_RADIUS or len(members[cid]) == 1 else None
-            out.append(Cluster(members[cid], cached_diameter=cached_diam, cached_drad=cached_drad))
-        return out
+            members[step.new_id] = members.pop(step.id_a) + members.pop(step.id_b)
+        return sorted((Cluster(c) for c in members.values()), key=lambda c: c.min_member)
 
     def check_invariants(self, deep: bool = False) -> None:
         """Raise ValueError if the recorded run is internally inconsistent.
@@ -197,45 +190,46 @@ class MergeHistory:
 
 
 class _PairTable:
-    """Reported merge cost of every pair of live cluster ids, and the
-    minimum of each row.
+    """Reported merge cost of every pair of live clusters, and the minimum
+    of each row.
 
-    ``m`` is a (2n - 1)^2 table: the singleton pairs are costed when it is
-    built, and a merged cluster's row against every other live cluster when
-    it is made (``merge``).  Dead and unborn ids and the diagonal hold inf,
-    so ``rowmin[i] == m[i].min()`` for every id and a step's best cost is
-    ``rowmin.min()``.  Subclasses cost a new cluster's row in ``_row``.
+    A live cluster sits at the slot of its smallest member, so ``m`` is an
+    n x n table and a slot pair (lo, hi) with lo < hi is the pair of member
+    minima that ties break by: the array order is the tie order.  The table
+    is the backend's singleton pair matrix, taken over in place; a merge
+    keeps the lower slot, costs it against every other live slot and fills
+    the upper slot with inf.  Dead slots and the diagonal hold inf, so
+    ``rowmin[i] == m[i].min()`` for every slot and a step's best cost is
+    ``rowmin.min()``.  Subclasses cost a merged cluster's row in ``_row``.
     """
 
     def __init__(self, pair_costs: np.ndarray):
-        n = len(pair_costs)
-        self.m = np.full((2 * n - 1, 2 * n - 1), math.inf)
-        self.m[:n, :n] = pair_costs
+        self.m = pair_costs
         np.fill_diagonal(self.m, math.inf)
         self.rowmin = self.m.min(axis=1)
-        self.live = np.zeros(2 * n - 1, dtype=bool)
-        self.live[:n] = True
+        self.live = np.ones(len(pair_costs), dtype=bool)
 
-    def merge(self, a: int, b: int, new: int) -> None:
-        """Retire ``a`` and ``b`` and cost ``new`` against every other live id."""
+    def merge(self, lo: int, hi: int) -> None:
+        """Merge slot ``hi`` into slot ``lo`` and cost ``lo`` against every
+        other live slot."""
         m, rowmin = self.m, self.rowmin
-        self.live[[a, b]] = False
+        self.live[[lo, hi]] = False
         others = np.flatnonzero(self.live)
-        row = self._row(a, b, new, others)
-        # a row whose minimum was its entry to a or b is rescanned; any other
-        # row keeps its minimum unless the new entry is smaller
+        row = self._row(lo, hi, others)
+        # a row whose minimum was its entry to lo or hi is rescanned; any
+        # other row keeps its minimum unless the new entry is smaller
         old = rowmin[others]
-        stale = others[(m[others, a] == old) | (m[others, b] == old)]
-        m[[a, b], :] = math.inf
-        m[:, [a, b]] = math.inf
-        rowmin[[a, b]] = math.inf
-        m[new, others] = row
-        m[others, new] = row
+        stale = others[(m[others, lo] == old) | (m[others, hi] == old)]
+        m[hi, :] = math.inf
+        m[:, hi] = math.inf
+        rowmin[hi] = math.inf
+        m[lo, others] = row
+        m[others, lo] = row
         rowmin[others] = np.minimum(old, row)
-        rowmin[new] = row.min()
+        rowmin[lo] = row.min()
         if stale.size:
             rowmin[stale] = m[stale].min(axis=1)
-        self.live[new] = True
+        self.live[lo] = True
 
 
 class _DiameterCosts(_PairTable):
@@ -252,9 +246,9 @@ class _DiameterCosts(_PairTable):
     underflows for x below about 1e-154.)
     """
 
-    def _row(self, a: int, b: int, new: int, others: np.ndarray) -> np.ndarray:
+    def _row(self, lo: int, hi: int, others: np.ndarray) -> np.ndarray:
         m = self.m
-        return np.maximum(np.maximum(m[a, others], m[b, others]), m[a, b])
+        return np.maximum(np.maximum(m[lo, others], m[hi, others]), m[lo, hi])
 
 
 class _EccentricityCosts(_PairTable):
@@ -268,19 +262,18 @@ class _EccentricityCosts(_PairTable):
 
     def __init__(self, inst: Instance):
         dpow = powered_matrix(inst)
-        n = len(dpow)
-        super().__init__(unpower_array(dpow, inst.norm))
         self.norm = inst.norm
-        self.ecc = np.empty((2 * n - 1, n))
-        self.ecc[:n] = dpow.T
-        self.member = np.zeros((2 * n - 1, n), dtype=bool)
-        np.fill_diagonal(self.member, True)
+        # a copy: under l1 and l_inf unpower_array returns dpow itself,
+        # whose diagonal the table sets to inf
+        self.ecc = dpow.T.copy()
+        self.member = np.eye(len(dpow), dtype=bool)
+        super().__init__(unpower_array(dpow, inst.norm))
 
-    def _row(self, a: int, b: int, new: int, others: np.ndarray) -> np.ndarray:
-        self.ecc[new] = np.maximum(self.ecc[a], self.ecc[b])
-        self.member[new] = self.member[a] | self.member[b]
-        ecc = np.maximum(self.ecc[others], self.ecc[new])
-        ecc[~(self.member[others] | self.member[new])] = math.inf
+    def _row(self, lo: int, hi: int, others: np.ndarray) -> np.ndarray:
+        self.ecc[lo] = np.maximum(self.ecc[lo], self.ecc[hi])
+        self.member[lo] |= self.member[hi]
+        ecc = np.maximum(self.ecc[others], self.ecc[lo])
+        ecc[~(self.member[others] | self.member[lo])] = math.inf
         return unpower_array(ecc.min(axis=1), self.norm)
 
 
@@ -288,10 +281,11 @@ class _RecomputeCosts(_PairTable):
     """Radius linkage under l2 and general p.
 
     No exact union decomposition exists for these costs, so every pair of
-    live clusters is costed once, on its union.
+    live clusters is costed once, on its union.  ``members`` lists the
+    members of the cluster at each slot.
     """
 
-    def __init__(self, inst: Instance, members: dict[int, tuple[int, ...]]):
+    def __init__(self, inst: Instance, members: list[tuple[int, ...]]):
         n = len(inst.points)
         self.inst = inst
         self.members = members
@@ -304,13 +298,14 @@ class _RecomputeCosts(_PairTable):
     def _cost(self, a: int, b: int) -> float:
         return radius(sorted(self.members[a] + self.members[b]), self.inst).radius
 
-    def _row(self, a: int, b: int, new: int, others: np.ndarray) -> np.ndarray:
-        # ascending ids, the order a full pair scan visits them in, so a run
-        # whose ball solver fails has made the calls such a scan would have
-        return np.array([self._cost(c, new) for c in others.tolist()])
+    def _row(self, lo: int, hi: int, others: np.ndarray) -> np.ndarray:
+        # live clusters in slot order, which is the order of their smallest
+        # members; a run whose ball solver fails stops at the first failing
+        # union in that order
+        return np.array([self._cost(c, lo) for c in others.tolist()])
 
 
-def _make_backend(inst: Instance, linkage: Problem, members: dict[int, tuple[int, ...]]) -> _PairTable:
+def _make_backend(inst: Instance, linkage: Problem, members: list[tuple[int, ...]]) -> _PairTable:
     if linkage is Problem.DIAMETER:
         return _DiameterCosts(unpower_array(powered_matrix(inst), inst.norm))
     if linkage is Problem.DISCRETE_RADIUS:
@@ -346,8 +341,11 @@ def _greedy(
     steps: list[MergeStep] = []
     if total_steps == 0:
         return steps
-    members: dict[int, tuple[int, ...]] = {i: (i,) for i in range(n)}
-    mins: dict[int, int] = {i: i for i in range(n)}
+    # a cluster's id is n + t for the step t that made it; ids live only at
+    # the edges: in the steps and in scripts
+    members = [(i,) for i in range(n)]
+    slot_id = list(range(n))
+    id_slot = {i: i for i in range(n)}
     table = _make_backend(inst, linkage, members)
     m, rowmin, live = table.m, table.rowmin, table.live
 
@@ -357,49 +355,48 @@ def _greedy(
 
         if t < len(scripted):
             sa, sb = scripted[t]
-            if sa not in members or sb not in members:
+            if sa not in id_slot or sb not in id_slot:
                 raise ScriptViolationError(
                     t, None, best,
                     f"script step {t} references cluster ids ({sa}, {sb}) that do not "
                     f"both exist at that step",
                 )
-            cost = float(m[sa, sb])
+            lo, hi = sorted((id_slot[sa], id_slot[sb]))
+            cost = float(m[lo, hi])
             if cost > band:
                 raise ScriptViolationError(
                     t, cost, best,
                     f"script step {t} merges ({sa}, {sb}) at cost {cost:.12g} but the "
                     f"minimum merge cost is {best:.12g}",
                 )
-            pick = (sa, sb) if sa < sb else (sb, sa)
         else:
-            # every tied pair lies in rows whose minimum is within the band;
-            # the inf entries of dead ids pass only an infinite band
-            rows = np.flatnonzero((rowmin <= band) & live)
-            sub = m[rows]
-            ti, tj = np.nonzero(sub <= band)
-            ti = rows[ti]
-            keep = (ti < tj) & live[tj]
-            tied = zip(ti[keep].tolist(), tj[keep].tolist())
-            pick = min(tied, key=lambda ab: (min(mins[ab[0]], mins[ab[1]]),
-                                             max(mins[ab[0]], mins[ab[1]])))
-            cost = float(m[pick])
+            # the least tied slot pair (lo, hi) in row-major order: the
+            # table is symmetric, so a row's tied partners are in-band rows
+            # too, and lo is the first in-band row and hi its first in-band
+            # column; the inf entries of dead slots pass only an infinite band
+            rows = (rowmin <= band) & live
+            lo = int(np.argmax(rows))
+            hi = lo + 1 + int(np.argmax((m[lo, lo + 1:] <= band) & live[lo + 1:]))
+            cost = float(m[lo, hi])
             if margins is not None:
                 # the smallest entry above the band is a row minimum, or an
                 # entry of a row whose minimum is in the band
+                sub = m[rows]
                 above = min(rowmin[rowmin > band].min(initial=math.inf),
                             sub[sub > band].min(initial=math.inf))
                 margins.append(float(above) - best if above < math.inf else math.inf)
 
-        a, b = pick
+        a, b = sorted((slot_id[lo], slot_id[hi]))
         new_id = n + t
-        union = tuple(sorted(members.pop(a) + members.pop(b)))
-        members[new_id] = union
-        mins[new_id] = min(mins[a], mins[b])
-        steps.append(MergeStep(a, b, cost, new_id, len(union)))
+        members[lo] = tuple(sorted(members[lo] + members[hi]))
+        steps.append(MergeStep(a, b, cost, new_id, len(members[lo])))
+        slot_id[lo] = new_id
+        del id_slot[a], id_slot[b]
+        id_slot[new_id] = lo
         # the last cluster's row would never be scanned; for radius linkage
         # it would cost one enclosing ball per remaining cluster
         if t + 1 < total_steps:
-            table.merge(a, b, new_id)
+            table.merge(lo, hi)
 
     return steps
 
@@ -460,7 +457,7 @@ def agglomerate_nn_chain(inst: Instance) -> MergeHistory:
     # scipy numbers the cluster made by row i as n + i, and its rows are in
     # an order where operands come first, so member minima fill in one pass
     mins = list(range(n)) + [0] * (n - 1)
-    consumer = [-1] * (2 * n - 1)  # the row that merges a cluster away
+    consumer = {}  # the row that merges a cluster away
     for i, (a, b) in enumerate(pairs):
         mins[n + i] = min(mins[a], mins[b])
         consumer[a] = consumer[b] = i
@@ -481,8 +478,8 @@ def agglomerate_nn_chain(inst: Instance) -> MergeHistory:
         steps.append(MergeStep(min(fa, fb), max(fa, fb), cost, new_id, sizes[i]))
         # each cluster is an operand of one merge, which becomes ready when
         # its second operand is made
-        j = consumer[n + i]
-        if j >= 0 and all(final_id[c] is not None for c in pairs[j]):
+        j = consumer.get(n + i)
+        if j is not None and all(final_id[c] is not None for c in pairs[j]):
             heapq.heappush(ready, entry(j))
 
     return MergeHistory(instance=inst, linkage=Problem.DIAMETER, steps=tuple(steps))

@@ -33,7 +33,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import bound_value, render_bound
-from .engine import MergeHistory, MergeScript, agglomerate, agglomerate_nn_chain, greedy_tie_margin
+from .engine import (
+    MergeHistory,
+    MergeScript,
+    agglomerate,
+    agglomerate_nn_chain,
+    greedy_tie_margin,
+    tie_width,
+)
 from .forge import (
     GeneratedCase,
     gen_hypercube_l1,
@@ -409,8 +416,7 @@ def _suite_upper_bound_sweep(seed: int) -> SuiteResult:
             if rep.opt_kind != "exact":
                 violations.append(f"{rep.name}/{problem.value}: no exact oracle")
                 continue
-            slack = max(1e-9 * rep.opt_cost, 1e-12)
-            if rep.algo_cost < rep.opt_cost - slack:
+            if rep.algo_cost < rep.opt_cost - tie_width(rep.opt_cost):
                 violations.append(f"{rep.name}/{problem.value}: algo {rep.algo_cost!r} "
                                   f"below opt {rep.opt_cost!r}")
             if not rep.bound_satisfied:

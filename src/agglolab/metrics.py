@@ -41,9 +41,6 @@ __all__ = [
     "diameter", "discrete_radius", "radius", "cluster_cost",
 ]
 
-_RADIUS_TOL = 1e-7  # absolute target for the general-p enclosing ball
-
-
 class SolverError(RuntimeError):
     """Iterative enclosing-ball search failed to converge.
 
@@ -139,15 +136,9 @@ class Instance:
 
 @dataclass(frozen=True)
 class Cluster:
-    """A set of point ids into an owning instance, with optional exact caches.
-
-    Cached values, when set, are exact copies of a fresh recomputation
-    (they come from the same arithmetic), never approximations.
-    """
+    """A set of point ids into an owning instance."""
 
     members: tuple[int, ...]
-    cached_diameter: float | None = None
-    cached_drad: float | None = None
 
     def __post_init__(self):
         if not self.members:
@@ -191,8 +182,10 @@ class BallCover:
 class EnclosingBall:
     """Result of an enclosing-ball computation.
 
-    ``approximate`` is True when the center came from the iterative
-    general-p solver (absolute tolerance 1e-7) rather than an exact method.
+    ``approximate`` is True when the ball came from the iterative general-p
+    solver rather than an exact method: its radius is the largest distance
+    from the best center the SLSQP search reached, an upper bound on the
+    true radius with no stated tolerance.
     """
 
     radius: float
@@ -458,6 +451,9 @@ def _euclidean_ball(pts: list[tuple[float, ...]]) -> EnclosingBall:
         return center, r2
 
     center, _ = solve(len(order), [])
+    # the recursive closure refers to itself: drop it, so that the shuffled
+    # points go now and not at the next cyclic collection
+    solve = None
     diffs = arr - center
     rad = math.sqrt(float((diffs * diffs).sum(axis=1).max()))
     return EnclosingBall(rad, tuple(float(x) for x in center), approximate=False)

@@ -144,33 +144,26 @@ def optimal_by_partition_enum(
     norm = inst.norm
     order = _farthest_first_order(dpow)
 
-    # Per-block state: member ids (original numbering), powered diameter,
-    # and the reported cost of the block.
+    # Per-block state: member ids (original numbering) and powered diameter.
     blocks: list[list[int]] = []
     block_diam_pow: list[float] = []
-    block_cost: list[float] = []
 
-    radius_memo: dict[tuple[int, ...], float] = {}
-    drad_memo: dict[tuple[int, ...], float] = {}
+    # exact radius or discrete radius of a block, by its sorted member ids
+    memo: dict[tuple[int, ...], float] = {}
 
-    def block_radius(ids: tuple[int, ...]) -> float:
-        val = radius_memo.get(ids)
+    def exact_cost(ids: tuple[int, ...]) -> float:
+        val = memo.get(ids)
         if val is None:
-            val = radius(ids, inst).radius
-            radius_memo[ids] = val
-        return val
-
-    def block_drad(ids: tuple[int, ...]) -> float:
-        val = drad_memo.get(ids)
-        if val is None:
-            sub = dpow[np.ix_(ids, ids)]
-            val = unpower(float(sub.max(axis=1).min()), norm)
-            drad_memo[ids] = val
+            if problem is Problem.RADIUS:
+                val = radius(ids, inst).radius
+            else:
+                sub = dpow[np.ix_(ids, ids)]
+                val = unpower(float(sub.max(axis=1).min()), norm)
+            memo[ids] = val
         return val
 
     incumbent = math.inf if upper_bound is None else upper_bound + tie_width(upper_bound)
     best_blocks: list[tuple[int, ...]] | None = None
-    best_cost = math.inf
 
     def assign_cost(bi: int, p: int) -> tuple[float, float]:
         """(new powered diameter, new reported cost) if p joins block bi."""
@@ -185,28 +178,24 @@ def optimal_by_partition_enum(
             half = unpower(new_diam, norm) / 2.0
             if half >= incumbent:  # cheap monotone bound, skip the solver
                 return new_diam, half
-            return new_diam, block_radius(tuple(sorted(blocks[bi] + [p])))
+            return new_diam, exact_cost(tuple(sorted(blocks[bi] + [p])))
         # discrete radius: not monotone under insertion, so prune on the
         # half-diameter lower bound and evaluate exactly at leaves only
         return new_diam, unpower(new_diam, norm) / 2.0
 
     def dfs(i: int, running: float) -> None:
-        nonlocal incumbent, best_blocks, best_cost
+        nonlocal incumbent, best_blocks
         if i == n:
             if len(blocks) != k:
                 return
             if problem is Problem.DISCRETE_RADIUS:
-                total = 0.0
-                for b in blocks:
-                    c = block_drad(tuple(sorted(b)))
-                    if c > total:
-                        total = c
+                total = max(exact_cost(tuple(sorted(b))) for b in blocks)
             else:
                 total = running
+            # only a leaf that beats the incumbent is kept: under an
+            # over-tight hint none does, and the search reruns without it
             if total < incumbent:
                 incumbent = total
-            if total < best_cost:
-                best_cost = total
                 best_blocks = [tuple(sorted(b)) for b in blocks]
             return
         # remaining points must be able to open the still-missing blocks
@@ -218,29 +207,30 @@ def optimal_by_partition_enum(
             new_running = max(running, new_cost)
             if new_running >= incumbent:
                 continue
-            old_diam, old_cost = block_diam_pow[bi], block_cost[bi]
+            old_diam = block_diam_pow[bi]
             blocks[bi].append(p)
-            block_diam_pow[bi], block_cost[bi] = new_diam, new_cost
+            block_diam_pow[bi] = new_diam
             dfs(i + 1, new_running)
             blocks[bi].pop()
-            block_diam_pow[bi], block_cost[bi] = old_diam, old_cost
+            block_diam_pow[bi] = old_diam
         if len(blocks) < k:
             blocks.append([p])
             block_diam_pow.append(0.0)
-            block_cost.append(0.0)
             dfs(i + 1, running)
             blocks.pop()
             block_diam_pow.pop()
-            block_cost.pop()
 
     dfs(0, 0.0)
+    # the recursive closure refers to itself: drop it, so that the memo goes
+    # now and not at the next cyclic collection
+    dfs = None
     if best_blocks is None:
-        # over-tight hint (should not happen when upper_bound is achievable)
+        # over-tight hint: every k-partition costs more
         return optimal_by_partition_enum(inst, k, problem, upper_bound=None)
     return OracleResult(
         problem=problem,
         k=k,
-        opt_cost=best_cost,
+        opt_cost=incumbent,
         partition=_sorted_clusters(best_blocks),
         method="partition-enum",
     )

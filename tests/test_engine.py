@@ -326,6 +326,16 @@ def test_engine_matches_brute_force_reference(monkeypatch):
     # runs where the ball solver is exact (l2, l_inf, and any norm in 1-d)
     calls = _count_engine_radius_calls(monkeypatch)
     checked = 0
+    # a 4 x 4 grid: ties span many rows, and merged clusters sit at slots
+    # other than their ids
+    grid = [(float(x), float(y)) for x in range(4) for y in range(4)]
+    for norm in (L1, L2, LINF):
+        inst = Instance.from_points("grid", grid, norm)
+        for problem in (Problem.DIAMETER, Problem.DISCRETE_RADIUS):
+            steps, margin = _reference_greedy(inst, problem)
+            assert agglomerate(inst, problem).steps == steps
+            assert greedy_tie_margin(inst, problem) == margin
+            checked += 1
     for d in (1, 2, 3):
         for norm in (L1, L2, LINF):
             for seed in range(2):
@@ -340,7 +350,7 @@ def test_engine_matches_brute_force_reference(monkeypatch):
                         assert agglomerate(inst, problem).steps == steps
                         assert greedy_tie_margin(inst, problem) == margin
                         checked += 1
-    assert checked == 100
+    assert checked == 106
     # only l2 radius runs in d > 1 call the ball solver
     assert calls
 

@@ -338,19 +338,22 @@ def test_enclosing_ball_membership_and_grid_agreement(points):
 
 
 def test_cached_cluster_values_are_exact_copies():
+    # the cost each step records is the one a fresh recomputation gives for
+    # the cluster it makes, bit for bit
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.0, 1.0, size=(12, 2))
     pts8 = rng.uniform(0.0, 1.0, size=(40, 8))
-    from agglolab import agglomerate
+
+    def drad(c, inst):
+        return discrete_radius(c, inst)[0]
 
     for norm, coords in ((L2, pts), (Norm(1.5), pts), (Norm(3.0), pts), (L2, pts8)):
         inst = Instance.from_points("cache", coords.tolist(), norm)
-        hist = agglomerate(inst, Problem.DIAMETER)
-        for c in hist.clusters_at_k(4):
-            assert c.cached_diameter == diameter(c, inst)
-        hist = agglomerate(inst, Problem.DISCRETE_RADIUS)
-        for c in hist.clusters_at_k(4):
-            assert c.cached_drad == discrete_radius(c, inst)[0]
+        for problem, cost in ((Problem.DIAMETER, diameter), (Problem.DISCRETE_RADIUS, drad)):
+            members = {i: (i,) for i in range(len(inst))}
+            for s in agglomerate(inst, problem).steps:
+                members[s.new_id] = members.pop(s.id_a) + members.pop(s.id_b)
+                assert s.cost == cost(Cluster(members[s.new_id]), inst)
 
 
 def test_unpower_round_trip():

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from agglolab import (
     optimal_by_partition_enum,
     optimal_diameter_1d,
     optimal_discrete_kcenter,
+    radius,
     volume_lemma_check,
 )
 from agglolab.forge import gen_hypercube_l1, gen_l2_3d, gen_linf_2d, gen_line_1d, gen_random
@@ -74,6 +76,36 @@ def test_partition_enum_upper_bound_hint_keeps_exactness():
                                        upper_bound=plain.opt_cost)
     assert hinted.opt_cost == plain.opt_cost
     assert hinted.partition is not None
+
+
+def test_partition_enum_over_tight_hint_returns_the_hint_free_optimum():
+    # discrete radius prunes on a lower bound and costs exactly at leaves, so
+    # leaves above an over-tight hint are reached; none may be the answer
+    inst = gen_random("uniform_cube", n=9, d=2, norm=LINF, seed=3)
+    for problem in Problem:
+        plain = optimal_by_partition_enum(inst, 2, problem)
+        for factor in (0.3, 0.7, 0.95):
+            hinted = optimal_by_partition_enum(inst, 2, problem,
+                                               upper_bound=factor * plain.opt_cost)
+            assert hinted.opt_cost == plain.opt_cost
+            assert hinted.partition == plain.partition
+
+
+def test_partition_enum_and_ball_leave_no_reference_cycle():
+    # with the cyclic collector off, an oracle call must free its memo on
+    # return, and an l2 ball call its shuffled points
+    inst = gen_random("uniform_cube", n=10, d=2, norm=L2, seed=1)
+    radius(range(6), inst)
+    gc.collect()
+    gc.disable()
+    try:
+        for problem in Problem:
+            optimal_by_partition_enum(inst, 3, problem)
+            assert gc.collect() == 0
+        radius(range(6), inst)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_partition_enum_witness_recosts_to_optimum():
