@@ -5,8 +5,9 @@ Three independent routes to an optimum:
 * ``optimal_by_partition_enum``  -- exhaustive search over set partitions in
   restricted-growth-string order with branch-and-bound pruning (n <= 14);
   works for all three cost functions.
-* ``optimal_discrete_kcenter``   -- enumerate k-subsets of the points as
-  centers and assign every point to its nearest one; exact for the
+* ``optimal_discrete_kcenter``   -- bisection over the pairwise distances
+  for the least one within which k of the points cover all of them, each
+  threshold decided by an exact search over cover bitmasks; exact for the
   member-centered radius cost.
 * ``optimal_diameter_1d``        -- sort + greedy interval cover with an
   exact bisection over candidate spans; exact for the diameter cost in
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -38,11 +38,11 @@ from .metrics import (
     Norm,
     L2,
     Problem,
+    distance,
     powered_matrix,
     powered_row_blocks,
     radius,
     unpower,
-    unpower_array,
 )
 
 __all__ = [
@@ -230,47 +230,111 @@ def optimal_by_partition_enum(
     return OracleResult(
         problem=problem,
         k=k,
-        opt_cost=incumbent,
+        opt_cost=float(incumbent),
         partition=_sorted_clusters(best_blocks),
         method="partition-enum",
     )
 
 
-def optimal_discrete_kcenter(inst: Instance, k: int) -> OracleResult:
-    """Exact optimum of the member-centered radius cost by center enumeration.
+def _cover_centers(covers: np.ndarray, k: int) -> list[int] | None:
+    """At most k centers that together cover every point, where
+    ``covers[p, c]`` says that center c covers point p; None if none do.
 
-    Every k-subset of the points is tried as a center set; each point is
-    assigned to its nearest chosen center and the worst assignment distance
-    is minimized over subsets.
+    A depth-first search over cover bitmasks: some center covers the lowest
+    uncovered point, so branching on the centers that cover it misses no
+    cover.  ``failed`` maps each uncovered set searched in vain to the
+    largest number of centers it failed with.  Masks and branch lists are
+    built as the search first needs them.
+    """
+    n = covers.shape[0]
+    bits = np.packbits(covers.T, axis=1, bitorder="little")
+    masks: dict[int, int] = {}
+    coverers: dict[int, list[int]] = {}
+
+    def branches_at(uncovered: int):
+        low = (uncovered & -uncovered).bit_length() - 1
+        if low not in coverers:
+            coverers[low] = np.flatnonzero(covers[low]).tolist()
+        return iter(coverers[low])
+
+    failed: dict[int, int] = {}
+    chosen: list[int] = []
+    path = [(1 << n) - 1]  # the uncovered set before each chosen center
+    branches = [branches_at(path[0])]
+    while branches:
+        c = next(branches[-1], None)
+        if c is None:
+            failed[path.pop()] = k - len(chosen)
+            branches.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        if c not in masks:
+            masks[c] = int.from_bytes(bits[c].tobytes(), "little")
+        rest = path[-1] & ~masks[c]
+        if not rest:
+            chosen.append(c)
+            return chosen
+        budget = k - len(chosen) - 1
+        if failed.get(rest, 0) >= budget:  # no center left, or failed with as many
+            continue
+        chosen.append(c)
+        path.append(rest)
+        branches.append(branches_at(rest))
+    return None
+
+
+def optimal_discrete_kcenter(inst: Instance, k: int) -> OracleResult:
+    """Exact optimum of the member-centered radius cost by a threshold search.
+
+    The optimum is a pairwise distance (Hochbaum & Shmoys 1985), so the
+    distinct powered distances are bisected for the least t at which at
+    most k points cover every point within t, each t decided exactly by a
+    depth-first search over cover bitmasks.  The witness assigns each point
+    to its nearest center, padded with the smallest other ids to k centers;
+    every center claims itself, so all k blocks are non-empty.
     """
     n = len(inst.points)
     _validate_k(n, k)
+    # the budget decides which instances best_oracle routes here
     if math.comb(n, k) > CENTER_ENUM_BUDGET:
         raise SizeLimitError(
             f"C({n},{k}) center subsets exceed the {CENTER_ENUM_BUDGET:,} budget"
         )
-    dist = unpower_array(powered_matrix(inst), inst.norm)
-    best = math.inf
-    best_centers: tuple[int, ...] | None = None
-    for centers in combinations(range(n), k):
-        cost = float(dist[:, centers].min(axis=1).max())
-        if cost < best:
-            best = cost
-            best_centers = centers
-    assert best_centers is not None
-    cols = dist[:, best_centers]
-    assignment = cols.argmin(axis=1)
-    for slot, c in enumerate(best_centers):
+    dpow = powered_matrix(inst)
+    # the distinct values, 0 from the diagonal and inf where a power
+    # overflows (np.unique would import numpy.ma on first use, 6 ms)
+    vals = np.sort(dpow, axis=None)
+    vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
+    # farthest-first traversal (Gonzalez 1985): k centers whose cost bounds
+    # the bisection from above
+    centers = [0]
+    nearest = dpow[0].copy()
+    for _ in range(k - 1):
+        centers.append(int(nearest.argmax()))
+        nearest = np.minimum(nearest, dpow[centers[-1]])
+    lo, hi = 0, int(np.searchsorted(vals, nearest.max()))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        found = _cover_centers(dpow <= vals[mid], k)
+        if found is None:
+            lo = mid + 1
+        else:
+            hi, centers = mid, found
+    chosen = set(centers)  # the traversal repeats a point once every point is covered
+    centers = sorted(chosen.union([p for p in range(n) if p not in chosen][:k - len(chosen)]))
+    assignment = dpow[:, centers].argmin(axis=1)
+    for slot, c in enumerate(centers):
         assignment[c] = slot  # a center always claims itself (duplicates)
-    blocks = [[] for _ in best_centers]
+    blocks = [[] for _ in centers]
     for p, slot in enumerate(assignment):
         blocks[slot].append(p)
     return OracleResult(
         problem=Problem.DISCRETE_RADIUS,
         k=k,
-        opt_cost=best,
+        opt_cost=unpower(float(vals[hi]), inst.norm),
         partition=_sorted_clusters(blocks),
-        method="center-subset-enum",
+        method="center-cover-search",
     )
 
 
@@ -281,7 +345,9 @@ def optimal_diameter_1d(inst: Instance, k: int) -> OracleResult:
     span (the float difference of its ends) is monotone in both ends, so a
     greedy cover needs the fewest runs for its span; the least span that k
     runs cover is found exactly by bisecting over the bit patterns of the
-    non-negative doubles, which sort as the doubles do.
+    non-negative doubles, which sort as the doubles do.  A run's diameter is
+    the distance between its ends, monotone in the span, so the cost is the
+    largest such distance over the cover's runs, as ``diameter`` gives it.
     """
     if inst.dim != 1:
         raise ValueError(f"one-dimensional oracle got dim={inst.dim}")
@@ -307,13 +373,14 @@ def optimal_diameter_1d(inst: Instance, k: int) -> OracleResult:
         return float(np.int64(bits).view(np.float64))
 
     top = int(np.float64(vals[-1] - vals[0]).view(np.int64))
-    opt = double(bisect_left(range(top + 1), True, key=lambda b: cuts(double(b)) is not None))
-    starts = cuts(opt)
+    span = double(bisect_left(range(top + 1), True, key=lambda b: cuts(double(b)) is not None))
+    starts = cuts(span)
+    runs = list(zip(starts, starts[1:] + [n]))
     return OracleResult(
         problem=Problem.DIAMETER,
         k=k,
-        opt_cost=opt,
-        partition=_sorted_clusters([order[a:b] for a, b in zip(starts, starts[1:] + [n])]),
+        opt_cost=max(distance((vals[a],), (vals[b - 1],), inst.norm) for a, b in runs),
+        partition=_sorted_clusters([order[a:b] for a, b in runs]),
         method="one-dim-dp",
     )
 
@@ -328,7 +395,7 @@ def best_oracle(
     instance is past every oracle's budget.
 
     One-dimensional diameter goes to the interval cover, discrete radius to
-    center enumeration while C(n, k) fits its budget, and anything else with
+    the center cover search while C(n, k) fits its budget, and anything else with
     n <= ``PARTITION_ENUM_MAX_N`` to partition enumeration, which
     ``upper_bound`` (a cost some k-partition achieves) helps prune.
     """

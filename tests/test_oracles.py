@@ -1,5 +1,6 @@
 import gc
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from agglolab import (
     volume_lemma_check,
 )
 from agglolab.forge import gen_hypercube_l1, gen_l2_3d, gen_linf_2d, gen_line_1d, gen_random
+from agglolab.metrics import powered_matrix, unpower_array
 
 
 def _line(name, values):
@@ -121,7 +123,7 @@ def test_discrete_kcenter_trivial_levels():
     assert optimal_discrete_kcenter(inst, 7).opt_cost == 0.0
     whole = optimal_discrete_kcenter(inst, 1)
     assert whole.opt_cost == discrete_radius(range(7), inst)[0]
-    assert whole.method == "center-subset-enum"
+    assert whole.method == "center-cover-search"
 
 
 def test_discrete_kcenter_hypercube_k4():
@@ -144,7 +146,83 @@ def test_discrete_kcenter_witness_partition():
     assert members == list(range(9))
     assert all(len(c) >= 1 for c in res.partition)
     recost = max(discrete_radius(c, inst)[0] for c in res.partition)
-    assert recost <= res.opt_cost + 1e-12
+    assert recost == res.opt_cost
+
+
+# under l2 the first two points are an infinite distance from every other
+_OVERFLOW = [(1e200, 0.0), (-1e200, 0.0), (0.0, 1.0), (3.0, 1.0)]
+
+
+def _reference_discrete_kcenter(inst, k):
+    """Center enumeration: the least, over all k-subsets of the points as
+    centers, of the largest distance from a point to its nearest center."""
+    dist = unpower_array(powered_matrix(inst), inst.norm)
+    return min(float(dist[:, list(centers)].min(axis=1).max())
+               for centers in combinations(range(len(inst)), k))
+
+
+def _kcenter_corpus():
+    rng = np.random.default_rng(43)
+    norms = (L1, L2, LINF, Norm(1.5))
+    for t in range(24):
+        n = int(rng.integers(5, 10))
+        d = 1 + t % 3
+        norm = norms[t % 4]
+        kind = (t // 4) % 3
+        if kind == 0:
+            pts = rng.uniform(-1.0, 1.0, (n, d))
+        elif kind == 1:  # exact ties
+            pts = rng.integers(0, 3, (n, d)).astype(float)
+        else:  # duplicate points
+            pts = rng.uniform(-1.0, 1.0, (n, d))
+            pts[n // 2:] = pts[:n - n // 2]
+        yield Instance.from_points(f"kc{t}", [tuple(p) for p in pts.tolist()], norm)
+    # five points in three places: the optimum 0 needs only three centers at
+    # k = 4 and 5, so the witness is padded
+    yield Instance.from_points("pairs", [(0.0, 0.0), (0.0, 0.0), (2.0, 1.0), (2.0, 1.0),
+                                         (5.0, 0.0)], L2)
+    yield Instance.from_points("grid4", [(float(x), float(y)) for x in range(4)
+                                         for y in range(4)], L1)
+    yield Instance.from_points("overflow", _OVERFLOW, L2)
+
+
+def test_discrete_kcenter_matches_center_enumeration():
+    checked = 0
+    for inst in _kcenter_corpus():
+        n = len(inst)
+        for k in range(1, n + 1):
+            with np.errstate(over="ignore"):
+                res = optimal_discrete_kcenter(inst, k)
+                ref = _reference_discrete_kcenter(inst, k)
+            assert repr(res.opt_cost) == repr(ref), (inst.name, k)
+            assert len(res.partition) == k
+            assert sorted(m for c in res.partition for m in c.members) == list(range(n))
+            assert max(discrete_radius(c, inst)[0] for c in res.partition) == res.opt_cost
+            checked += 1
+    assert checked == 207
+
+
+def test_discrete_kcenter_overflow_is_infinite():
+    # a center set that leaves out either far point costs inf
+    inst = Instance.from_points("overflow", _OVERFLOW, L2)
+    with np.errstate(over="ignore"):
+        for k in (1, 2):
+            res = optimal_discrete_kcenter(inst, k)
+            assert res.opt_cost == math.inf
+            assert len(res.partition) == k
+            assert sorted(m for c in res.partition for m in c.members) == [0, 1, 2, 3]
+        assert optimal_discrete_kcenter(inst, 3).opt_cost == 3.0
+
+
+def test_every_oracle_reports_a_python_float():
+    line = gen_random("uniform_cube", n=7, d=1, norm=L2, seed=7).points
+    for norm in (L1, L2, LINF, Norm(1.5)):
+        inst = gen_random("uniform_cube", n=7, d=2, norm=norm, seed=7)
+        for problem in Problem:
+            assert type(optimal_by_partition_enum(inst, 3, problem).opt_cost) is float
+        assert type(optimal_discrete_kcenter(inst, 3).opt_cost) is float
+        res = optimal_diameter_1d(Instance.from_points("line", line, norm), 3)
+        assert type(res.opt_cost) is float
 
 
 def test_diameter_1d_line_instances():
@@ -207,20 +285,22 @@ def test_diameter_1d_matches_reference_dp():
     checked = 0
     for t in range(60):
         n = int(rng.integers(1, 61))
-        norm = (L1, L2, LINF)[t % 3]
+        norm = (L1, L2, LINF, Norm(1.5), Norm(3.0))[t % 5]
         values = scales[t % 4](n)
         inst = Instance.from_points(f"line{t}", [(float(v),) for v in values], norm)
         for k in sorted({1, n, *(int(k) for k in rng.integers(1, n + 1, size=3))}):
             res = optimal_diameter_1d(inst, k)
-            assert repr(res.opt_cost) == repr(_reference_diameter_1d(inst, k))
+            # the reference span as a distance, which l2 squares of spans
+            # near 1e-160 and lp powers round
+            span = _reference_diameter_1d(inst, k)
+            assert repr(res.opt_cost) == repr(distance((0.0,), (span,), norm))
             assert len(res.partition) == k
             assert sorted(m for c in res.partition for m in c.members) == list(range(n))
             runs = [sorted(inst.points[m][0] for m in c.members) for c in res.partition]
             runs.sort()
             assert all(a[-1] <= b[0] for a, b in zip(runs, runs[1:]))  # contiguous
-            assert max(r[-1] - r[0] for r in runs) == res.opt_cost
-            if norm is not L2 or t % 4 != 2:  # l2 squares of spans near 1e-160 underflow
-                assert max(diameter(c, inst) for c in res.partition) == res.opt_cost
+            assert max(r[-1] - r[0] for r in runs) == span
+            assert max(diameter(c, inst) for c in res.partition) == res.opt_cost
             checked += 1
     assert checked >= 200
     one = optimal_diameter_1d(_line("one", [5.0]), 1)
@@ -229,6 +309,12 @@ def test_diameter_1d_matches_reference_dp():
         inst = gen_line_1d(n_param).instance
         for k in (1, 4, 8):
             assert repr(optimal_diameter_1d(inst, k).opt_cost) == repr(_reference_diameter_1d(inst, k))
+    # the l2 span 8e-160 squares below the normal range: the oracle reports
+    # what its witness recosts to, as partition enumeration does
+    tiny = _line("tiny", [v * 1e-160 for v in (0, 3, 7, 8, 20)])
+    res = optimal_diameter_1d(tiny, 2)
+    assert res.opt_cost == optimal_by_partition_enum(tiny, 2, Problem.DIAMETER).opt_cost
+    assert res.opt_cost == max(diameter(c, tiny) for c in res.partition) != 8e-160
     # a span of -0.0 - 0.0 is -0.0 in the DP; the bisection reports +0.0,
     # which is what the witness recosts to
     zeros = _line("zeros", [0.0, -0.0])
@@ -277,7 +363,7 @@ def test_best_oracle_routes_to_the_cheapest_exact_oracle():
     line = gen_random("uniform_cube", n=20, d=1, norm=L2, seed=3)
     assert best_oracle(line, Problem.DIAMETER, 3).method == "one-dim-dp"
     plane = gen_random("uniform_cube", n=20, d=2, norm=L2, seed=3)
-    assert best_oracle(plane, Problem.DISCRETE_RADIUS, 3).method == "center-subset-enum"
+    assert best_oracle(plane, Problem.DISCRETE_RADIUS, 3).method == "center-cover-search"
     assert best_oracle(plane, Problem.DIAMETER, 3) is None
     for k in (0, len(plane.points) + 1):
         with pytest.raises(ValueError):
@@ -326,7 +412,7 @@ def test_volume_lemma_precondition():
 
 
 def test_discrete_kcenter_two_oracle_routes_agree():
-    # partition enumeration and center-subset enumeration are independent
+    # partition enumeration and the center cover search are independent
     # routes to the same optimum
     for seed in (61, 62, 63):
         inst = gen_random("uniform_cube", n=9, d=2, norm=L2, seed=seed)
