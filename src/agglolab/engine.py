@@ -11,6 +11,13 @@ the cluster created by step t (t = 0, 1, ...) gets id n + t.  Scripts use
 this numbering and every scripted merge must itself be cost-minimal at its
 step, otherwise the run aborts with :class:`ScriptViolationError`.
 
+The loop keeps a table of the merge cost of every pair of live clusters.
+Radius linkage under l2 and general p fills it lazily: an entry holds a
+lower bound until a step's tie band can reach it, and each step first
+settles the table, costing exactly every entry that the pick, the tie
+order, a script or the tie margin could see.  Every recorded cost is the
+cost function's value on the union, never a bound.
+
 Costs along a run never decrease: the cost of each level equals the cost of
 the cluster created last, and the cost of any available union bounds the
 next step from above.  ``MergeHistory.check_invariants`` verifies this.
@@ -191,7 +198,9 @@ class MergeHistory:
 
 class _PairTable:
     """Reported merge cost of every pair of live clusters, and the minimum
-    of each row.
+    of each row.  An entry of a lazy backend may be a lower bound instead;
+    ``settle_to`` and ``exact_cost`` make entries exact before a pick reads
+    them.
 
     A live cluster sits at the slot of its smallest member, so ``m`` is an
     n x n table and a slot pair (lo, hi) with lo < hi is the pair of member
@@ -208,6 +217,16 @@ class _PairTable:
         np.fill_diagonal(self.m, math.inf)
         self.rowmin = self.m.min(axis=1)
         self.live = np.ones(len(pair_costs), dtype=bool)
+
+    def settle_to(self, limit: float) -> bool:
+        """Cost exactly every entry that may be at most ``limit``; return
+        whether any entry changed.  Every entry of an exact backend is a
+        cost already."""
+        return False
+
+    def exact_cost(self, lo: int, hi: int) -> float:
+        """The cost of slot pair (lo, hi), costed exactly if need be."""
+        return float(self.m[lo, hi])
 
     def merge(self, lo: int, hi: int) -> None:
         """Merge slot ``hi`` into slot ``lo`` and cost ``lo`` against every
@@ -277,32 +296,89 @@ class _EccentricityCosts(_PairTable):
         return unpower_array(ecc.min(axis=1), self.norm)
 
 
-class _RecomputeCosts(_PairTable):
-    """Radius linkage under l2 and general p.
+def _deflate(bounds: np.ndarray) -> np.ndarray:
+    """Each bound less its tie width: ``b - tie_width(b)`` for b >= 0, written
+    so that an infinite bound stays infinite instead of becoming nan."""
+    return np.minimum(bounds * (1.0 - TIE_REL_TOL), bounds - TIE_ABS_TOL)
 
-    No exact union decomposition exists for these costs, so every pair of
-    live clusters is costed once, on its union.  ``members`` lists the
-    members of the cluster at each slot.
+
+class _RadiusCosts(_PairTable):
+    """Radius linkage under l2 and general p, costed lazily (the lazy form
+    of Muellner's generic algorithm, arXiv:1109.2378).
+
+    No exact union decomposition exists for these costs, so an entry starts
+    as a lower bound and is costed exactly, on its union, only once a pick
+    can see it: ``exact`` marks the entries that hold ``radius()`` of the
+    union (the diagonal and dead slots count as exact, as nothing costs
+    them).  ``members`` lists the members of the cluster at each slot.
+
+    Under l2 the radius is monotone under union and at least half the
+    diameter, so the entry for a merged cluster A u B against C is bounded
+    by max(diam(A u B u C) / 2, the old entries A-C and B-C).  The diameters
+    come from the elementwise max of ``_DiameterCosts``.  rad(A u B) and
+    rad C would add at most a tie width: each was the least entry, up to a
+    tie width, of the step that made its cluster, and the old entries are
+    maxima over entries of that step.  Welzl's ``covers`` slack (about
+    1e-12 relative) and rounding can put a ball a few ulps below its bound,
+    so ``settle_to`` compares bounds deflated by a tie width
+    (``_deflate``).  Under general p the ball solver is approximate and
+    nothing is certified: every bound is 0, so each new row is costed in
+    full at the next settle, in the order an eager table costs it.
     """
 
     def __init__(self, inst: Instance, members: list[tuple[int, ...]]):
         n = len(inst.points)
         self.inst = inst
         self.members = members
-        pairs = np.zeros((n, n))
-        for a in range(n):
-            for b in range(a + 1, n):
-                pairs[a, b] = pairs[b, a] = self._cost(a, b)
-        super().__init__(pairs)
+        self.exact = np.eye(n, dtype=bool)
+        if inst.norm.p == 2.0:
+            # an overflowing squared distance is inf, and so is its ball
+            with np.errstate(over="ignore"):
+                self.diam = unpower_array(powered_matrix(inst), inst.norm)
+            bounds = self.diam / 2.0
+        else:
+            self.diam = None
+            bounds = np.zeros((n, n))
+        super().__init__(bounds)
 
-    def _cost(self, a: int, b: int) -> float:
-        return radius(sorted(self.members[a] + self.members[b]), self.inst).radius
+    def _cost(self, a: int, b: int) -> None:
+        value = radius(sorted(self.members[a] + self.members[b]), self.inst).radius
+        self.m[a, b] = self.m[b, a] = value
+        self.exact[a, b] = self.exact[b, a] = True
+
+    def settle_to(self, limit: float) -> bool:
+        # a row holds an entry whose deflated bound is at most limit exactly
+        # when its minimum does, and the upper triangle of those rows in
+        # row-major order is the slot order an eager table costs pairs in; a
+        # run whose ball solver fails stops at the first failing union
+        m, rowmin = self.m, self.rowmin
+        rows = np.flatnonzero(_deflate(rowmin) <= limit)
+        due = ~self.exact[rows] & (_deflate(m[rows]) <= limit)
+        due &= np.arange(len(m)) > rows[:, None]
+        r, c = np.nonzero(due)
+        if not r.size:
+            return False
+        for a, b in zip(rows[r].tolist(), c.tolist()):
+            self._cost(a, b)
+        touched = np.union1d(rows[r], c)
+        rowmin[touched] = m[touched].min(axis=1)
+        return True
+
+    def exact_cost(self, lo: int, hi: int) -> float:
+        if not self.exact[lo, hi]:
+            self._cost(lo, hi)
+            self.rowmin[[lo, hi]] = self.m[[lo, hi]].min(axis=1)
+        return float(self.m[lo, hi])
 
     def _row(self, lo: int, hi: int, others: np.ndarray) -> np.ndarray:
-        # live clusters in slot order, which is the order of their smallest
-        # members; a run whose ball solver fails stops at the first failing
-        # union in that order
-        return np.array([self._cost(c, lo) for c in others.tolist()])
+        self.exact[hi, :] = self.exact[:, hi] = True
+        self.exact[lo, others] = self.exact[others, lo] = False
+        if self.diam is None:
+            return np.zeros(len(others))
+        d, m = self.diam, self.m
+        diam = np.maximum(np.maximum(d[lo, others], d[hi, others]), d[lo, hi])
+        d[lo, others] = d[others, lo] = diam
+        return np.maximum(diam / 2.0, np.maximum(m[lo, others], m[hi, others]))
 
 
 def _make_backend(inst: Instance, linkage: Problem, members: list[tuple[int, ...]]) -> _PairTable:
@@ -312,7 +388,7 @@ def _make_backend(inst: Instance, linkage: Problem, members: list[tuple[int, ...
         return _EccentricityCosts(inst)
     if inst.norm.is_infinity or inst.dim == 1:
         return _DiameterCosts(powered_matrix(replace(inst, norm=LINF)) / 2.0)
-    return _RecomputeCosts(inst, members)
+    return _RadiusCosts(inst, members)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +426,13 @@ def _greedy(
     m, rowmin, live = table.m, table.rowmin, table.live
 
     for t in range(total_steps):
-        best = float(rowmin.min())
-        band = best + tie_width(best)
+        # settle: until the least entry and every entry in its tie band are
+        # costs, not bounds
+        while True:
+            best = float(rowmin.min())
+            band = best + tie_width(best)
+            if not table.settle_to(band):
+                break
 
         if t < len(scripted):
             sa, sb = scripted[t]
@@ -362,7 +443,7 @@ def _greedy(
                     f"both exist at that step",
                 )
             lo, hi = sorted((id_slot[sa], id_slot[sb]))
-            cost = float(m[lo, hi])
+            cost = table.exact_cost(lo, hi)
             if cost > band:
                 raise ScriptViolationError(
                     t, cost, best,
@@ -380,10 +461,15 @@ def _greedy(
             cost = float(m[lo, hi])
             if margins is not None:
                 # the smallest entry above the band is a row minimum, or an
-                # entry of a row whose minimum is in the band
-                sub = m[rows]
-                above = min(rowmin[rowmin > band].min(initial=math.inf),
-                            sub[sub > band].min(initial=math.inf))
+                # entry of a row whose minimum is in the band; it is settled
+                # like the band, and costing entries above the band leaves
+                # the band's rows as they are
+                while True:
+                    sub = m[rows]
+                    above = min(rowmin[rowmin > band].min(initial=math.inf),
+                                sub[sub > band].min(initial=math.inf))
+                    if above == math.inf or not table.settle_to(float(above)):
+                        break
                 margins.append(float(above) - best if above < math.inf else math.inf)
 
         a, b = sorted((slot_id[lo], slot_id[hi]))

@@ -214,7 +214,10 @@ def grid_search_enclosing_radius(
     norm, that sublevel box always contains the true center, even along
     nearly flat valley directions (two-point support balls), where the box
     shrinks only like the square root of the slack; later rounds raise the
-    per-axis resolution to push the value error below ``tol``.
+    per-axis resolution to push the value error below ``tol``.  A downhill
+    simplex, and for 1 < p < inf an SQP step on the smooth epigraph form,
+    polish the best center; every value is a largest distance from some
+    center, so the result never lies below the true radius.
     """
     arr = np.asarray(points, dtype=float)
     if arr.ndim == 1:
@@ -288,6 +291,36 @@ def grid_search_enclosing_radius(
         )
         center = res.x
         best = min(best, float(worst(center[None, :])[0]))
+
+    # The simplex can also stall at a kink where several support points
+    # leave only a narrow cone of descent directions.  Where the powered
+    # distances are differentiable (1 < p < inf), finish with SQP on the
+    # smooth epigraph form, minimize s subject to sum_j |x_ij - c_j|^p <= s,
+    # in coordinates centred on the simplex's point and scaled by its value.
+    # Its center is taken when it beats the simplex by more than the
+    # simplex's own tolerance, that is, when the simplex stalled.
+    if 1.0 < p < math.inf and best > 0.0:
+        rel = (arr - center) / best
+
+        def spare(z):
+            return z[-1] - (np.abs(rel - z[:-1]) ** p).sum(axis=1)
+
+        def spare_jac(z):
+            diff = rel - z[:-1]
+            return np.hstack([p * np.sign(diff) * np.abs(diff) ** (p - 1.0),
+                              np.ones((len(rel), 1))])
+
+        res = minimize(
+            lambda z: z[-1],
+            np.append(np.zeros(d), float((np.abs(rel) ** p).sum(axis=1).max())),
+            jac=lambda z: np.eye(d + 1)[-1],
+            method="SLSQP",
+            constraints=[{"type": "ineq", "fun": spare, "jac": spare_jac}],
+            options={"maxiter": 100, "ftol": 1e-15},
+        )
+        polished = float(worst((center + best * res.x[:d])[None, :])[0])
+        if polished < best - tol * 1e-3:
+            best = polished
     return best
 
 

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import agglolab.engine as engine
 from agglolab import (
     Instance,
     L1,
@@ -18,11 +20,13 @@ from agglolab import (
     agglomerate_nn_chain,
     cluster_cost,
     diameter,
+    distance,
     greedy_tie_margin,
     radius,
 )
-from agglolab.engine import TIE_ABS_TOL, TIE_REL_TOL
+from agglolab.engine import TIE_ABS_TOL, TIE_REL_TOL, tie_width
 from agglolab.forge import gen_line_1d, gen_linf_2d, gen_random
+from agglolab.metrics import SolverError
 from agglolab.oracles import optimal_by_partition_enum, optimal_diameter_1d
 
 
@@ -298,13 +302,76 @@ def _reference_greedy(inst, problem):
     return tuple(steps), min(margins, default=math.inf)
 
 
-def _count_engine_radius_calls(monkeypatch):
-    import agglolab.engine as engine
+class _RecomputeCosts(engine._PairTable):
+    """Eager radius backend, the reference for the engine's lazy one: every
+    pair of live clusters is costed once, on its union, when the table is
+    built (singleton pairs in row-major slot order) or when a merge makes
+    its row (the other live clusters in slot order).  The ball solver is
+    looked up on the engine module, so a test that patches ``engine.radius``
+    sees this backend's calls too."""
 
+    def __init__(self, inst, members):
+        n = len(inst.points)
+        self.inst = inst
+        self.members = members
+        pairs = np.zeros((n, n))
+        for a in range(n):
+            for b in range(a + 1, n):
+                pairs[a, b] = pairs[b, a] = self._cost(a, b)
+        super().__init__(pairs)
+
+    def _cost(self, a, b):
+        return engine.radius(sorted(self.members[a] + self.members[b]), self.inst).radius
+
+    def _row(self, lo, hi, others):
+        return np.array([self._cost(c, lo) for c in others.tolist()])
+
+
+_lazy_backend = engine._make_backend
+
+
+def _eager_backend(inst, linkage, members):
+    if linkage is Problem.RADIUS and not (inst.norm.is_infinity or inst.dim == 1):
+        return _RecomputeCosts(inst, members)
+    return _lazy_backend(inst, linkage, members)
+
+
+def _eager(run, *args, **kwargs):
+    """``run(*args, **kwargs)`` with the eager radius backend in the engine."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_make_backend", _eager_backend)
+        return run(*args, **kwargs)
+
+
+def _outcome(run, *args, **kwargs):
+    """The steps of an ``agglomerate`` run, or the fields of the script
+    violation it raised."""
+    try:
+        return run(*args, **kwargs).steps
+    except ScriptViolationError as err:
+        return (err.step_index, err.scripted_cost, err.true_minimum, str(err))
+
+
+def _assert_radius_matches_eager(inst, script=None, stop_at_k=None):
+    """Lazy and eager radius linkage agree step for step, with bit-equal
+    costs, on a free run, its tie margin, and a scripted run."""
+    free = agglomerate(inst, Problem.RADIUS)
+    assert free.steps == _eager(agglomerate, inst, Problem.RADIUS).steps
+    assert (greedy_tie_margin(inst, Problem.RADIUS)
+            == _eager(greedy_tie_margin, inst, Problem.RADIUS))
+    if script is None:
+        replayed = free.steps[:len(inst) - (stop_at_k or 1)]
+        script = MergeScript(tuple((s.id_a, s.id_b) for s in replayed))
+    lazy = _outcome(agglomerate, inst, Problem.RADIUS, script=script, stop_at_k=stop_at_k)
+    assert lazy == _eager(_outcome, agglomerate, inst, Problem.RADIUS,
+                          script=script, stop_at_k=stop_at_k)
+
+
+def _count_engine_radius_calls(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(tuple(args[0]))
         return radius(*args, **kwargs)
 
     monkeypatch.setattr(engine, "radius", counting)
@@ -312,18 +379,24 @@ def _count_engine_radius_calls(monkeypatch):
 
 
 def test_radius_linkage_costs_each_live_pair_once(monkeypatch):
-    # singleton pairs, then each new cluster against the others still live,
-    # except the cluster made by the last step: 66 + (10 + 9 + ... + 4)
+    # under l2 a pair is costed only once its lower bound reaches the tie
+    # band of a step: 8 balls, where an eager table costs all 115 pairs
+    # (66 singleton pairs, then each new cluster against the live others)
     calls = _count_engine_radius_calls(monkeypatch)
     inst = gen_random("uniform_cube", n=12, d=2, norm=L2, seed=5)
     hist = agglomerate(inst, Problem.RADIUS, stop_at_k=4)
-    assert len(calls) == 115
+    assert len(calls) == 8
+    assert len(set(calls)) == len(calls)
     assert hist.final_level == 4
+    del calls[:]
+    assert _eager(agglomerate, inst, Problem.RADIUS, stop_at_k=4).steps == hist.steps
+    assert len(calls) == 115
 
 
 def test_engine_matches_brute_force_reference(monkeypatch):
     # uniform draws and integer coordinates with exact ties; radius linkage
-    # runs where the ball solver is exact (l2, l_inf, and any norm in 1-d)
+    # runs where the ball solver is exact (l2, l_inf, and any norm in 1-d),
+    # and under l2 in d > 1 also matches the eager radius backend
     calls = _count_engine_radius_calls(monkeypatch)
     checked = 0
     # a 4 x 4 grid: ties span many rows, and merged clusters sit at slots
@@ -349,10 +422,144 @@ def test_engine_matches_brute_force_reference(monkeypatch):
                         steps, margin = _reference_greedy(inst, problem)
                         assert agglomerate(inst, problem).steps == steps
                         assert greedy_tie_margin(inst, problem) == margin
+                        if problem is Problem.RADIUS and norm is L2 and d > 1:
+                            _assert_radius_matches_eager(inst, stop_at_k=3)
                         checked += 1
     assert checked == 106
     # only l2 radius runs in d > 1 call the ball solver
     assert calls
+
+
+@st.composite
+def _l2_cloud(draw):
+    """Small l2 instances in d = 2, 3 rich in ties: integer coordinates,
+    optionally a duplicate point, a near-collinear triple, or a scale far
+    from 1."""
+    d = draw(st.integers(2, 3))
+    pts = draw(st.lists(st.tuples(*([st.integers(0, 4).map(float)] * d)),
+                        min_size=2, max_size=10))
+    if draw(st.booleans()):
+        a, b = pts[0], pts[-1]
+        t = draw(st.sampled_from([0.25, 0.5, 1.0 / 3.0]))
+        eps = draw(st.sampled_from([0.0, 1e-13, 1e-10, 1e-7]))
+        pts.append(tuple(x + t * (y - x) + (eps if j == 0 else 0.0)
+                         for j, (x, y) in enumerate(zip(a, b))))
+    if draw(st.booleans()):
+        pts.append(draw(st.sampled_from(pts)))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e-150, 1e3, 1e150]))
+    return Instance.from_points("lazy", [tuple(scale * x for x in p) for p in pts], L2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_l2_cloud(), st.data())
+def test_lazy_radius_linkage_matches_eager_property(inst, data):
+    # a script replays a prefix of the free run and may then take any pair
+    # of live ids, which the engine must accept or refuse as the eager
+    # backend does
+    free = agglomerate(inst, Problem.RADIUS)
+    n = len(inst)
+    j = data.draw(st.integers(0, n - 2))
+    live = sorted(set(range(n + j)) - {i for s in free.steps[:j] for i in s[:2]})
+    extra = tuple(data.draw(st.lists(st.sampled_from(live), min_size=2, max_size=2, unique=True)))
+    script = MergeScript(tuple((s.id_a, s.id_b) for s in free.steps[:j]) + (extra,))
+    stop_at_k = data.draw(st.integers(1, n - j - 1))
+    _assert_radius_matches_eager(inst, script, stop_at_k)
+
+
+def test_lazy_radius_linkage_matches_eager_on_the_benchmark_instance(monkeypatch):
+    # the greedy-scale radius run: 65 balls, against (n - 1)^2 = 3969
+    calls = _count_engine_radius_calls(monkeypatch)
+    inst = gen_random("uniform_cube", n=64, d=2, norm=L2, seed=104)
+    hist = agglomerate(inst, Problem.RADIUS)
+    assert len(calls) == 65
+    del calls[:]
+    assert _eager(agglomerate, inst, Problem.RADIUS).steps == hist.steps
+    assert len(calls) == 63 ** 2
+
+
+def test_lazy_radius_linkage_edge_cases_without_warnings():
+    # squared distances that overflow give infinite bounds and balls, and
+    # an infinite bound deflates to inf, not to inf - inf; on duplicates
+    # every bound is 0 and every pair is costed
+    huge = Instance.from_points("huge", [(1e200, 0.0), (-1e200, 0.0), (0.0, 1.0)], L2)
+    dups = Instance.from_points("dups", [(0.5, 0.25)] * 6, L2)
+    for inst in (huge, dups):
+        steps = _eager(agglomerate, inst, Problem.RADIUS).steps
+        margin = _eager(greedy_tie_margin, inst, Problem.RADIUS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert agglomerate(inst, Problem.RADIUS).steps == steps
+            assert greedy_tie_margin(inst, Problem.RADIUS) == margin
+    assert [(s.id_a, s.id_b, s.cost) for s in steps] == [
+        (0, 1, 0.0), (2, 6, 0.0), (3, 7, 0.0), (4, 8, 0.0), (5, 9, 0.0)]
+
+
+def test_lazy_radius_linkage_deflates_bounds_at_the_band_edge():
+    # Welzl's ball for points 0 and 1 is one ulp below half their distance,
+    # its bound, and the ball of points 2 and 3 puts the end of its tie band
+    # on that ball exactly: the pairs tie, and (0, 1) goes first only if
+    # its bound is deflated enough to be costed
+    a, b = (0.781, 0.228), (0.175, 0.571)
+    inst = Instance.from_points("edge", [a, b, (0.0, 5.0), (0.6963368430797195, 5.0)], L2)
+    ball = radius((0, 1), inst).radius
+    assert ball < distance(a, b, L2) / 2.0
+    assert radius((2, 3), inst).radius + tie_width(radius((2, 3), inst).radius) == ball
+    steps = agglomerate(inst, Problem.RADIUS).steps
+    assert steps == _eager(agglomerate, inst, Problem.RADIUS).steps
+    assert steps[0][:3] == (0, 1, ball)
+
+
+def test_general_p_radius_calls_follow_the_eager_order(monkeypatch):
+    # under general p no bound is certified, so the lazy backend makes the
+    # eager backend's calls in the eager order, and a failing ball solver
+    # stops both on the same union: the lp slice's known failures stay
+    calls, memo = [], {}
+
+    def recording(members, inst):
+        key = (id(inst), tuple(members))
+        calls.append(key[1])
+        if key not in memo:
+            try:
+                memo[key] = radius(members, inst)
+            except SolverError as err:
+                memo[key] = err
+        if isinstance(memo[key], SolverError):
+            raise memo[key]
+        return memo[key]
+
+    monkeypatch.setattr(engine, "radius", recording)
+    failed = set()
+    for p in (1.5, 3.0):
+        for seed in range(100, 104):
+            inst = gen_random("uniform_cube", n=12, d=2, norm=Norm(p), seed=seed)
+            runs = []
+            for backend in (_lazy_backend, _eager_backend):
+                del calls[:]
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(engine, "_make_backend", backend)
+                    try:
+                        outcome = agglomerate(inst, Problem.RADIUS).steps
+                    except SolverError:
+                        outcome = None
+                runs.append((outcome, list(calls)))
+            assert runs[0] == runs[1]
+            if runs[0][0] is None:
+                failed.add((p, seed))
+    assert failed == {(1.5, 101), (1.5, 103), (3.0, 101), (3.0, 102)}
+
+
+def test_radius_linkage_scale_pin(monkeypatch):
+    # about n balls at n = 256, not n^2; the recorded level costs are the
+    # radii of the levels' clusters
+    calls = _count_engine_radius_calls(monkeypatch)
+    n = 256
+    inst = gen_random("uniform_cube", n=n, d=2, norm=L2, seed=1)
+    hist = agglomerate(inst, Problem.RADIUS)
+    assert len(calls) <= 4 * n
+    hist.check_invariants(deep=True)
+    for k in (1, 2, 4, 8, 16):
+        level = max(radius(c, inst).radius for c in hist.clusters_at_k(k))
+        assert abs(hist.cost_at_k(k) - level) <= tie_width(level)
 
 
 def test_radius_linkage_by_spans_matches_ball_solver(monkeypatch):

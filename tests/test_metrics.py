@@ -328,6 +328,10 @@ def test_union_monotonicity(points, norm):
 @example([(27.63572053293484, 72.97744785256691, -88.7749114458729),
           (97.7904236336511, 0.0, -1e-05),
           (-86.31327800959369, 0.0, -52.511033924864925)])
+# and 1.46e-6 above it here, at a kink of four support points
+@example([(0.0, 0.0, 0.0), (24.0, 42.39958821170626, 72.53314013668114),
+          (10.6875, -88.85120613303816, 0.0), (88.921875, 0.0, 0.0),
+          (0.30078125, 0.0, -41.8203125)])
 def test_enclosing_ball_membership_and_grid_agreement(points):
     inst = Instance.from_points("ball", points, L2)
     ball = radius(range(len(points)), inst)
