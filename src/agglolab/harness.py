@@ -59,6 +59,7 @@ from .metrics import (
     cluster_cost,
     diameter,
     distance,
+    powered_row_blocks,
     radius,
 )
 from .oracles import (
@@ -200,6 +201,7 @@ def evaluate_case(case: GeneratedCase, problem: Problem | None = None) -> RatioR
 # independent enclosing-ball oracle (grid refinement)
 
 
+@np.errstate(over="ignore")
 def grid_search_enclosing_radius(
     points: Sequence[Sequence[float]],
     norm: Norm = L2,
@@ -218,30 +220,67 @@ def grid_search_enclosing_radius(
     simplex, and for 1 < p < inf an SQP step on the smooth epigraph form,
     polish the best center; every value is a largest distance from some
     center, so the result never lies below the true radius.
+
+    The lattice is evaluated one point at a time over the d coordinate
+    columns of the candidates: a point's powered terms are added left to
+    right, a running maximum is kept over the points, and the p-th root is
+    taken once, after the maximum.  So the memory is a few arrays of one
+    value per candidate, whatever the number of points.  The result is
+    infinite, at once, when some pairwise distance overflows (as
+    :func:`~agglolab.metrics.powered_distance` gives it).
     """
     arr = np.asarray(points, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
+    if any(np.isinf(block).any() for _, block in powered_row_blocks(arr, norm)):
+        return math.inf
     lo = arr.min(axis=0).astype(float)
     hi = arr.max(axis=0).astype(float)
     d = arr.shape[1]
     p = norm.p
 
-    def worst(cands: np.ndarray) -> np.ndarray:
-        out = np.empty(len(cands))
-        for s in range(0, len(cands), 131072):
-            diff = np.abs(cands[s:s + 131072, None, :] - arr[None, :, :])
+    def terms(col: np.ndarray, x: float) -> np.ndarray:
+        # |c - x|^p for each candidate coordinate c (|c - x| for p = 1, inf)
+        t = col - x
+        if p == 2.0:
+            return np.multiply(t, t, out=t)
+        np.abs(t, out=t)
+        return np.power(t, p, out=t) if 1.0 < p < math.inf else t
+
+    def root(powered: np.ndarray) -> np.ndarray:
+        # numpy's array ``**`` (its 0.5 is ``sqrt``), also for one value:
+        # numpy's scalar ``**`` is the C library's ``pow``, and the two
+        # differ in the last bit on about 5 % of inputs
+        return powered ** (1.0 / p) if 1.0 < p < math.inf else powered
+
+    combine = np.maximum if math.isinf(p) else np.add
+
+    def worst(cols: list[np.ndarray]) -> np.ndarray:
+        # largest distance from each candidate, given as d coordinate columns
+        top = None
+        for x in arr:
+            acc = terms(cols[0], x[0])
+            for col, xj in zip(cols[1:], x[1:]):
+                combine(acc, terms(col, xj), out=acc)
+            top = acc if top is None else np.maximum(top, acc, out=top)
+        return root(top)
+
+    def worst_at(center: np.ndarray) -> float:
+        # the same value at one center: the row sums add fewer than eight
+        # terms left to right, as the grid does
+        t = arr - center
+        if p == 2.0:
+            t *= t
+        else:
+            np.abs(t, out=t)
             if math.isinf(p):
-                dist = diff.max(axis=-1)
-            elif p == 1.0:
-                dist = diff.sum(axis=-1)
-            else:
-                dist = (diff ** p).sum(axis=-1) ** (1.0 / p)
-            out[s:s + 131072] = dist.max(axis=1)
-        return out
+                return float(t.max())
+            if p != 1.0:
+                t **= p
+        return float(root(t.sum(axis=1).max(keepdims=True))[0])
 
     mid = (lo + hi) / 2.0
-    best = float(worst(mid[None, :])[0])
+    best = worst_at(mid)
     best_center = mid.copy()
     zero = (0.0,) * d
     for resolution in [14] * 8 + [40] * 4:
@@ -252,22 +291,20 @@ def grid_search_enclosing_radius(
         ref = wmax / resolution
         counts = [int(min(81, max(4, math.ceil(w / ref)))) + 1 for w in width]
         axes = [np.linspace(lo[i], hi[i], counts[i]) for i in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        cands = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = worst(cands)
+        cols = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
+        vals = worst(cols)
         idx = int(vals.argmin())
         if float(vals[idx]) < best:
             best = float(vals[idx])
-            best_center = cands[idx].copy()
+            best_center = np.array([col[idx] for col in cols])
         cell = np.array([axes[i][1] - axes[i][0] if counts[i] > 1 else 0.0 for i in range(d)])
         slack = distance(tuple(cell / 2.0), zero, norm)
         # tiny inflation keeps boundary-equal grid values selected despite
         # rounding; a larger selection stays certified
-        sel = cands[vals <= best + slack * (1.0 + 1e-9) + 1e-15]
-        if len(sel) == 0:
-            sel = cands[idx][None, :]
-        lo = np.maximum(lo, sel.min(axis=0) - cell)
-        hi = np.minimum(hi, sel.max(axis=0) + cell)
+        keep = vals <= best + slack * (1.0 + 1e-9) + 1e-15
+        keep[idx] = True  # the only one kept when an earlier round did better
+        lo = np.maximum(lo, np.array([col[keep].min() for col in cols]) - cell)
+        hi = np.minimum(hi, np.array([col[keep].max() for col in cols]) + cell)
         if slack <= tol / 2.0:
             break
 
@@ -283,14 +320,14 @@ def grid_search_enclosing_radius(
         # the default size around a stalled point stalls there again
         simplex = np.vstack([center, center + np.diag(width * 10.0 ** -r)])
         res = minimize(
-            lambda c: float(worst(c[None, :])[0]),
+            worst_at,
             center,
             method="Nelder-Mead",
             options={"xatol": tol * 1e-3, "fatol": tol * 1e-3, "maxiter": 4000,
                      "initial_simplex": simplex},
         )
         center = res.x
-        best = min(best, float(worst(center[None, :])[0]))
+        best = min(best, worst_at(center))
 
     # The simplex can also stall at a kink where several support points
     # leave only a narrow cone of descent directions.  Where the powered
@@ -318,7 +355,7 @@ def grid_search_enclosing_radius(
             constraints=[{"type": "ineq", "fun": spare, "jac": spare_jac}],
             options={"maxiter": 100, "ftol": 1e-15},
         )
-        polished = float(worst((center + best * res.x[:d])[None, :])[0])
+        polished = worst_at(center + best * res.x[:d])
         if polished < best - tol * 1e-3:
             best = polished
     return best

@@ -439,7 +439,7 @@ def _euclidean_ball(pts: list[tuple[float, ...]]) -> EnclosingBall:
         if center is None:
             return False
         diff = q - center
-        return float(diff @ diff) <= r2 * (1.0 + 1e-12) + 1e-30
+        return float(diff @ diff) <= r2 * (1.0 + 1e-12)
 
     def solve(end: int, boundary: list[np.ndarray]) -> tuple[np.ndarray | None, float]:
         center, r2 = _circumball(boundary)

@@ -1,8 +1,11 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import OptimizeResult
 
 from agglolab import (
     Cluster,
@@ -20,6 +23,7 @@ from agglolab import (
     radius,
 )
 from agglolab.forge import gen_line_1d, gen_hypercube_l1
+from agglolab import harness
 from agglolab.harness import grid_search_enclosing_radius
 from agglolab.metrics import powered_distance, powered_matrix, unpower, unpower_array
 
@@ -339,6 +343,232 @@ def test_enclosing_ball_membership_and_grid_agreement(points):
         assert distance(p, ball.center, L2) <= ball.radius + 1e-9
     grid = grid_search_enclosing_radius(points, L2)
     assert abs(ball.radius - grid) <= 1e-6
+
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-15, 1e-16, 1e-20, 1e-100, 1e-150])
+def test_euclidean_ball_is_exact_at_small_scales(scale):
+    # a 3-4-5 right triangle (circumradius 2.5) and a point inside its
+    # circumcircle; an absolute floor in the covering test once let the
+    # incremental solver keep a ball missing the triangle's third vertex
+    pts = [(0.0, 0.0), (3 * scale, 0.0), (0.0, 4 * scale), (1.5 * scale, 4.4 * scale)]
+    ball = radius(range(4), Instance.from_points("small", pts, L2))
+    assert not ball.approximate
+    assert ball.radius == pytest.approx(2.5 * scale, rel=1e-12, abs=0.0)
+
+# ---------------------------------------------------------------------------
+# the grid enclosing-ball oracle against its reference
+
+
+def _reference_grid_search(
+    points,
+    norm=L2,
+    tol=1e-7,
+):
+    """The grid oracle as it was before its column kernel: every candidate's
+    distances to every point in one (candidates, n, d) array, rooted before
+    the maximum over the points.  Kept as the slow reference for
+    :func:`grid_search_enclosing_radius`, which must equal it bit for bit."""
+    arr = np.asarray(points, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    lo = arr.min(axis=0).astype(float)
+    hi = arr.max(axis=0).astype(float)
+    d = arr.shape[1]
+    p = norm.p
+
+    def worst(cands: np.ndarray) -> np.ndarray:
+        out = np.empty(len(cands))
+        for s in range(0, len(cands), 131072):
+            diff = np.abs(cands[s:s + 131072, None, :] - arr[None, :, :])
+            if math.isinf(p):
+                dist = diff.max(axis=-1)
+            elif p == 1.0:
+                dist = diff.sum(axis=-1)
+            else:
+                dist = (diff ** p).sum(axis=-1) ** (1.0 / p)
+            out[s:s + 131072] = dist.max(axis=1)
+        return out
+
+    mid = (lo + hi) / 2.0
+    best = float(worst(mid[None, :])[0])
+    best_center = mid.copy()
+    zero = (0.0,) * d
+    for resolution in [14] * 8 + [40] * 4:
+        width = hi - lo
+        wmax = float(width.max())
+        if wmax <= 0.0:
+            break
+        ref = wmax / resolution
+        counts = [int(min(81, max(4, math.ceil(w / ref)))) + 1 for w in width]
+        axes = [np.linspace(lo[i], hi[i], counts[i]) for i in range(d)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        cands = np.stack([m.ravel() for m in mesh], axis=1)
+        vals = worst(cands)
+        idx = int(vals.argmin())
+        if float(vals[idx]) < best:
+            best = float(vals[idx])
+            best_center = cands[idx].copy()
+        cell = np.array([axes[i][1] - axes[i][0] if counts[i] > 1 else 0.0 for i in range(d)])
+        slack = distance(tuple(cell / 2.0), zero, norm)
+        # tiny inflation keeps boundary-equal grid values selected despite
+        # rounding; a larger selection stays certified
+        sel = cands[vals <= best + slack * (1.0 + 1e-9) + 1e-15]
+        if len(sel) == 0:
+            sel = cands[idx][None, :]
+        lo = np.maximum(lo, sel.min(axis=0) - cell)
+        hi = np.minimum(hi, sel.max(axis=0) + cell)
+        if slack <= tol / 2.0:
+            break
+
+    # The box shrink stalls along nearly flat valley directions (balls
+    # supported by few points), so polish the best grid center with a
+    # downhill simplex, which tolerates the kinks of a pointwise maximum.
+    from scipy.optimize import minimize
+
+    center = best_center
+    width = hi - lo
+    for r in range(3):
+        # each restart spans 10^-r of the final box: a simplex rebuilt at
+        # the default size around a stalled point stalls there again
+        simplex = np.vstack([center, center + np.diag(width * 10.0 ** -r)])
+        res = minimize(
+            lambda c: float(worst(c[None, :])[0]),
+            center,
+            method="Nelder-Mead",
+            options={"xatol": tol * 1e-3, "fatol": tol * 1e-3, "maxiter": 4000,
+                     "initial_simplex": simplex},
+        )
+        center = res.x
+        best = min(best, float(worst(center[None, :])[0]))
+
+    # The simplex can also stall at a kink where several support points
+    # leave only a narrow cone of descent directions.  Where the powered
+    # distances are differentiable (1 < p < inf), finish with SQP on the
+    # smooth epigraph form, minimize s subject to sum_j |x_ij - c_j|^p <= s,
+    # in coordinates centred on the simplex's point and scaled by its value.
+    # Its center is taken when it beats the simplex by more than the
+    # simplex's own tolerance, that is, when the simplex stalled.
+    if 1.0 < p < math.inf and best > 0.0:
+        rel = (arr - center) / best
+
+        def spare(z):
+            return z[-1] - (np.abs(rel - z[:-1]) ** p).sum(axis=1)
+
+        def spare_jac(z):
+            diff = rel - z[:-1]
+            return np.hstack([p * np.sign(diff) * np.abs(diff) ** (p - 1.0),
+                              np.ones((len(rel), 1))])
+
+        res = minimize(
+            lambda z: z[-1],
+            np.append(np.zeros(d), float((np.abs(rel) ** p).sum(axis=1).max())),
+            jac=lambda z: np.eye(d + 1)[-1],
+            method="SLSQP",
+            constraints=[{"type": "ineq", "fun": spare, "jac": spare_jac}],
+            options={"maxiter": 100, "ftol": 1e-15},
+        )
+        polished = float(worst((center + best * res.x[:d])[None, :])[0])
+        if polished < best - tol * 1e-3:
+            best = polished
+    return best
+
+
+
+@pytest.mark.parametrize("seed", [1, 2026, 10001, 12026])
+def test_grid_search_matches_reference_on_crosscheck_draws(seed, monkeypatch):
+    calls = []
+
+    def record(points, norm=L2, tol=1e-7):
+        value = grid_search_enclosing_radius(points, norm, tol)
+        calls.append((points, norm, value))
+        return value
+
+    monkeypatch.setattr(harness, "grid_search_enclosing_radius", record)
+    assert harness.verify_suite("oracle-crosscheck", seed).passed
+    assert len(calls) == 20
+    for points, norm, value in calls:
+        assert value.hex() == _reference_grid_search(points, norm).hex()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_cloud, st.sampled_from([L1, L2, LINF]))
+def test_grid_search_matches_reference_bit_for_bit(points, norm):
+    got = grid_search_enclosing_radius(points, norm)
+    assert got.hex() == _reference_grid_search(points, norm).hex()
+
+
+def test_grid_rounds_match_reference_bit_for_bit():
+    # the polish mostly rounds a grid value's last bits away, so switch it
+    # off: both oracles then return their grid's least value.  The clouds'
+    # sums are not exact, so the order of the terms shows.
+    rng = np.random.default_rng(12)
+    with mock.patch("scipy.optimize.minimize",
+                    lambda fun, x0, **_: OptimizeResult(x=np.asarray(x0, dtype=float))):
+        for _ in range(20):
+            n, d = int(rng.integers(2, 9)), int(rng.integers(2, 4))
+            points = rng.uniform(-1.0, 1.0, size=(n, d)).tolist()
+            for norm in (L1, L2, LINF):
+                got = grid_search_enclosing_radius(points, norm)
+                assert got.hex() == _reference_grid_search(points, norm).hex()
+
+
+@pytest.mark.parametrize("norm", [Norm(1.5), Norm(3.0)])
+def test_grid_search_lp_within_four_ulps_of_reference(norm):
+    # the root is taken after the maximum, not before it; numpy's pow need not
+    # be monotone in the last bit
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        n, d = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+        points = rng.uniform(-1.0, 1.0, size=(n, d)).tolist()
+        got = grid_search_enclosing_radius(points, norm)
+        ref = _reference_grid_search(points, norm)
+        assert abs(got - ref) <= 4 * math.ulp(ref)
+
+
+@pytest.mark.parametrize("norm", [L1, L2, LINF, Norm(1.5)])
+@pytest.mark.parametrize("points", [
+    [0.3, -1.2, 4.0, 2.5],                    # 1-d as a flat list
+    [(0.3,), (-1.2,), (4.0,), (2.5,)],         # and as 1-tuples
+    [(1.0, -2.0)],                             # a single point
+    [(1.0, -2.0, 0.5)] * 4,                    # all duplicates
+])
+def test_grid_search_edge_inputs_match_reference(points, norm):
+    got = grid_search_enclosing_radius(points, norm)
+    assert got.hex() == _reference_grid_search(points, norm).hex()
+
+
+@pytest.mark.parametrize("norm", [L1, L2, LINF, Norm(1.5), Norm(3.0)])
+@pytest.mark.parametrize("pair", [
+    [(0.2, -0.7), (0.9, 0.4)],
+    [(0.2, -0.7, 1.1), (0.9, 0.4, -0.3)],
+])
+def test_grid_search_two_points_give_half_their_distance(pair, norm):
+    half = distance(pair[0], pair[1], norm) / 2.0
+    assert abs(grid_search_enclosing_radius(pair, norm) - half) <= 1e-7
+
+
+def test_grid_search_closed_forms_for_linf_and_one_dimension():
+    rng = np.random.default_rng(4)
+    cloud = rng.uniform(-1.0, 1.0, size=(7, 3))
+    spread = float((cloud.max(axis=0) - cloud.min(axis=0)).max())
+    assert abs(grid_search_enclosing_radius(cloud.tolist(), LINF) - spread / 2.0) <= 1e-7
+    line = rng.uniform(-1.0, 1.0, size=6)
+    span = float(line.max() - line.min())
+    for norm in (L1, L2, LINF, Norm(1.5), Norm(3.0)):
+        assert abs(grid_search_enclosing_radius(line.tolist(), norm) - span / 2.0) <= 1e-7
+
+
+def test_grid_search_overflow_is_infinite_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert grid_search_enclosing_radius([(1e200, 0.0), (-1e200, 0.0), (0.0, 1.0)], L2) == math.inf
+        assert grid_search_enclosing_radius([(1e308, 0.0), (-1e308, 1.0)], LINF) == math.inf
+        assert grid_search_enclosing_radius([(1e308, 0.0), (-1e308, 1.0)], L1) == math.inf
+        assert grid_search_enclosing_radius([(1e103, 0.0), (-1e103, 1.0)], Norm(3.0)) == math.inf
+        # every pairwise distance is finite here, though some grid values are not
+        finite = [(0.0, 0.0), (1e154, 5e153), (5e153, 1e154)]
+        assert grid_search_enclosing_radius(finite, L2) == 5.892556509887897e153
 
 
 def test_cached_cluster_values_are_exact_copies():
