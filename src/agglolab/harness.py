@@ -239,9 +239,9 @@ def grid_search_enclosing_radius(
     d = arr.shape[1]
     p = norm.p
 
-    def terms(col: np.ndarray, x: float) -> np.ndarray:
-        # |c - x|^p for each candidate coordinate c (|c - x| for p = 1, inf)
-        t = col - x
+    def terms(c: np.ndarray, x) -> np.ndarray:
+        # |c - x|^p elementwise (|c - x| for p = 1, inf)
+        t = c - x
         if p == 2.0:
             return np.multiply(t, t, out=t)
         np.abs(t, out=t)
@@ -268,15 +268,9 @@ def grid_search_enclosing_radius(
     def worst_at(center: np.ndarray) -> float:
         # the same value at one center: the row sums add fewer than eight
         # terms left to right, as the grid does
-        t = arr - center
-        if p == 2.0:
-            t *= t
-        else:
-            np.abs(t, out=t)
-            if math.isinf(p):
-                return float(t.max())
-            if p != 1.0:
-                t **= p
+        t = terms(arr, center)
+        if math.isinf(p):
+            return float(t.max())
         return float(root(t.sum(axis=1).max(keepdims=True))[0])
 
     mid = (lo + hi) / 2.0
