@@ -45,7 +45,8 @@ from .metrics import (
     LINF,
     Norm,
     Problem,
-    distance,
+    _powered_norms,
+    unpower_array,
 )
 from .oracles import CoverableSample
 
@@ -309,8 +310,8 @@ def gen_random(
 
     Families: ``uniform_cube`` (points in the unit cube), ``gaussian_blobs``
     (up to three normal clumps), and ``coverable`` (points drawn inside k
-    balls of radius r, returned as a :class:`CoverableSample` carrying the
-    cover certificate).
+    balls of a finite radius r >= 0, returned as a :class:`CoverableSample`
+    carrying the cover certificate).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -331,18 +332,31 @@ def gen_random(
             raise ValueError("coverable family needs k and r")
         if k < 1 or r < 0:
             raise ValueError("coverable family needs k >= 1 and r >= 0")
-        centers = rng.uniform(0.0, 10.0 * r * max(1.0, k ** (1.0 / d)), size=(k, d))
-        pts = []
+        if not math.isfinite(r):
+            raise ValueError(f"coverable family needs a finite r, got {r!r}")
+        box = 10.0 * r * max(1.0, k ** (1.0 / d))
+        if math.isinf(box):
+            raise ValueError(f"coverable family: r={r!r} puts the centers in an infinite box")
+        centers = rng.uniform(0.0, box, size=(k, d))
         which = rng.integers(0, k, size=n)
-        origin = (0.0,) * d
-        for i in range(n):
-            while True:  # rejection-sample the norm ball of radius r
-                offset = rng.uniform(-r, r, size=d)
-                if distance(tuple(offset), origin, norm) <= r:
-                    break
-            pts.append(tuple(float(v) for v in centers[which[i]] + offset))
+        # Rejection-sample the norm ball of radius r.  The candidates come in
+        # (rows, d) blocks, which the generator fills row by row from the
+        # stream that one size-d draw per candidate would read, and the
+        # generator is not used afterwards, so the sample does not depend on
+        # the block sizes.
+        offsets: list[np.ndarray] = []
+        got = drawn = 0
+        while got < n:
+            # enough rows to finish at the acceptance rate seen so far
+            rows = min(64 + (n - got) * (drawn + 1) // (got + 1) * 5 // 4, 1 << 16)
+            block = rng.uniform(-r, r, size=(rows, d))
+            block = block[unpower_array(_powered_norms(block.copy(), norm), norm) <= r]
+            offsets.append(block)
+            got += len(block)
+            drawn += rows
+        pts = centers[which] + np.concatenate(offsets)[:n]
         cover = BallCover(radius=float(r), centers=tuple(tuple(float(c) for c in row) for row in centers))
-        return CoverableSample(points=tuple(pts), cover=cover, norm=norm)
+        return CoverableSample(points=tuple(map(tuple, pts.tolist())), cover=cover, norm=norm)
     raise ValueError(f"unknown family {family!r}; expected one of {RANDOM_FAMILIES}")
 
 

@@ -246,37 +246,45 @@ def distance(a: Sequence[float], b: Sequence[float], norm: Norm) -> float:
 _BLOCK_ELEMENTS = 1 << 16  # cap on the (rows, n, d) difference slab of one block
 
 
+def _powered_norms(diff: np.ndarray, norm: Norm) -> np.ndarray:
+    """Powered norms over the last axis of a ``(..., d)`` array of coordinate
+    differences, which is overwritten by its terms.
+
+    The terms are accumulated left to right, as in :func:`powered_distance`
+    (``sum`` over an axis adds eight or more terms pairwise), and general-p
+    terms are raised by ``np.float_power``, which calls the C library's
+    ``pow`` as Python's float ``**`` does; so every value equals
+    :func:`powered_distance` bit for bit (numpy's ``**`` has its own SIMD
+    routine, which differs from ``pow`` in the last bit on about 5 % of
+    inputs).
+    """
+    np.abs(diff, out=diff)
+    p = norm.p
+    if math.isinf(p):
+        return diff.max(axis=-1)
+    if p == 2.0:
+        diff *= diff
+    elif p != 1.0:
+        np.float_power(diff, p, out=diff)
+    total = diff[..., 0].copy()
+    for j in range(1, diff.shape[-1]):
+        total += diff[..., j]
+    return total
+
+
 def powered_row_blocks(pts: np.ndarray, norm: Norm) -> Iterator[tuple[int, np.ndarray]]:
     """Pairwise powered distances of the rows of an (n, d) array, a few rows
     at a time: yields ``(start, block)`` with ``block[i, j]`` the powered
     distance between rows ``start + i`` and ``j``.
 
-    Each entry is computed alone, so the values do not depend on the block
-    size.  The terms are accumulated left to right, as in
-    :func:`powered_distance` (``sum`` over an axis adds eight or more terms
-    pairwise), and general-p terms are raised by ``np.float_power``, which
-    calls the C library's ``pow`` as Python's float ``**`` does; so every
-    entry equals :func:`powered_distance` bit for bit (numpy's ``**`` has its
-    own SIMD routine, which differs from ``pow`` in the last bit on about 5 %
-    of inputs).
+    Each entry is computed alone by :func:`_powered_norms`, so the values do
+    not depend on the block size and equal :func:`powered_distance` bit for
+    bit.
     """
     n, d = pts.shape
     rows = max(1, _BLOCK_ELEMENTS // max(n * d, 1))
-    p = norm.p
     for start in range(0, n, rows):
-        diff = np.abs(pts[start:start + rows, None, :] - pts[None, :, :])
-        if math.isinf(p):
-            block = diff.max(axis=-1)
-        else:
-            # the terms replace the differences in place
-            if p == 2.0:
-                diff *= diff
-            elif p != 1.0:
-                np.float_power(diff, p, out=diff)
-            block = diff[..., 0].copy()
-            for j in range(1, d):
-                block += diff[..., j]
-        yield start, block
+        yield start, _powered_norms(pts[start:start + rows, None, :] - pts[None, :, :], norm)
 
 
 def powered_matrix(inst: Instance) -> np.ndarray:

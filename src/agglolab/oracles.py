@@ -18,7 +18,10 @@ applies; every caller that wants an optimum goes through it.
 
 ``volume_lemma_check`` evaluates the packing bound on a coverable sample:
 if a finite set P sits inside k balls of radius r and |P| > k, then some
-two of its points are within 4 r (k/|P|)^(1/d) of each other.
+two of its points are within 4 r (k/|P|)^(1/d) of each other.  Its least
+pairwise distance comes from ``min_pairwise_distance``, an exact sweep over
+the points sorted along one coordinate, which costs about n pairs on such a
+sample and equals the minimum over all pairs bit for bit.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from .metrics import (
     Norm,
     L2,
     Problem,
+    _powered_norms,
     distance,
     powered_matrix,
-    powered_row_blocks,
     radius,
     unpower,
 )
@@ -411,14 +414,41 @@ def best_oracle(
 
 
 def min_pairwise_distance(points: Sequence[Sequence[float]], norm: Norm) -> float:
-    """Exact minimum over all point pairs (brute force over row blocks)."""
-    if len(points) < 2:
+    """Exact minimum distance over all pairs of (finite) points, by a sweep
+    over the points sorted along the coordinate of largest spread (Shamos &
+    Hoey 1975).
+
+    For s = 1, 2, ... the pairs s places apart in sorted order are costed
+    when their powered gap on the sort axis is at most the least powered
+    distance found so far.  The pruning is exact: a pair's powered distance
+    is a left-to-right sum of non-negative terms, one of which is that
+    powered gap, and such a sum never rounds below any of its terms; a gap
+    only grows with s, so a pair that fails the test rules out every wider
+    pair from the same start, and the sweep stops when none is left or the
+    least distance is 0.  Each pair is costed as ``powered_distance`` costs
+    it (|a - b| = |b - a| exactly), so the result equals the minimum over
+    all pairs bit for bit, inf included where a power overflows.  The worst
+    case, as when every point shares the sort coordinate, costs all n(n-1)/2
+    pairs in n - 1 passes; memory is O(n d).
+    """
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    if n < 2:
         raise ValueError("need at least two points")
+    axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
+    pts = pts[np.argsort(pts[:, axis])]
+    key = pts[:, axis:axis + 1]
     best = math.inf
-    for start, block in powered_row_blocks(np.asarray(points, dtype=float), norm):
-        rows = np.arange(len(block))
-        block[rows, start + rows] = math.inf  # a point paired with itself
-        best = min(best, float(block.min()))
+    live = np.arange(n - 1)  # starts i whose pair (i, i + s) may still beat best
+    for s in range(1, n):
+        live = live[live < n - s]
+        gaps = _powered_norms(key[live + s] - key[live], norm)
+        live = live[gaps <= best]
+        if not live.size:
+            break
+        best = min(best, float(_powered_norms(pts[live + s] - pts[live], norm).min()))
+        if best == 0.0:
+            break
     return unpower(best, norm)
 
 

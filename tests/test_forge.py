@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +28,7 @@ from agglolab import (
     write_instance,
 )
 from agglolab.forge import ExpectedOutcome
+from agglolab.metrics import BallCover
 
 
 def test_line_generator_shape_and_gap():
@@ -178,6 +180,59 @@ def test_random_validation():
         gen_random("coverable", n=5, d=2, norm=L2, seed=1)  # needs k and r
     with pytest.raises(ValueError):
         gen_random("no-such-family", n=5, d=2, norm=L2, seed=1)
+    # a radius that is not finite, or whose center box 10 r max(1, k^(1/d))
+    # overflows, is refused before any draw
+    for r, k, d in ((math.nan, 2, 2), (math.inf, 2, 2), (-1.0, 2, 2),
+                    (1e308, 1, 1), (1e306, 100, 1)):
+        with pytest.raises(ValueError):
+            gen_random("coverable", n=5, d=d, norm=L2, seed=1, k=k, r=r)
+
+
+def _reference_coverable(n, d, norm, seed, k, r):
+    """The former sampler: one size-d candidate per rejection step, tested
+    by the scalar ``distance``."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, 10.0 * r * max(1.0, k ** (1.0 / d)), size=(k, d))
+    pts = []
+    which = rng.integers(0, k, size=n)
+    origin = (0.0,) * d
+    for i in range(n):
+        while True:  # rejection-sample the norm ball of radius r
+            offset = rng.uniform(-r, r, size=d)
+            if distance(tuple(offset), origin, norm) <= r:
+                break
+        pts.append(tuple(float(v) for v in centers[which[i]] + offset))
+    cover = BallCover(radius=float(r), centers=tuple(tuple(float(c) for c in row) for row in centers))
+    return CoverableSample(points=tuple(pts), cover=cover, norm=norm)
+
+
+_FIVE_NORMS = [L1, L2, LINF, Norm(1.5), Norm(3.0)]
+
+
+@pytest.mark.parametrize("norm", _FIVE_NORMS, ids=lambda norm: norm.label)
+def test_coverable_matches_reference_sampler(norm):
+    case = 0
+    for d in (1, 2, 3, 4):
+        for k in (1, 2, 5):
+            for r in (0.0, 0.3, 3.0, 1e6):
+                n = 1 + (case * 37) % 150
+                seed = 500 + case
+                case += 1
+                got = gen_random("coverable", n=n, d=d, norm=norm, seed=seed, k=k, r=r)
+                ref = _reference_coverable(n, d, norm, seed, k, r)
+                assert got == ref and repr(got) == repr(ref), (d, k, r, n)
+
+
+@pytest.mark.parametrize("args", [
+    (2000, 2, L2, 116, 4, 1.0),  # the packing draw of the benchmark, seeds 1 and 7
+    (2000, 2, L2, 716, 4, 1.0),
+    (2000, 4, L1, 3, 5, 0.3),  # about one candidate in 24 is kept
+    (1, 3, Norm(1.5), 4, 2, 3.0),
+])
+def test_coverable_matches_reference_sampler_at_size(args):
+    got = gen_random("coverable", *args[:4], k=args[4], r=args[5])
+    ref = _reference_coverable(*args)
+    assert got == ref and repr(got) == repr(ref)
 
 
 def test_instance_file_round_trip(tmp_path):

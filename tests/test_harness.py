@@ -214,3 +214,12 @@ def test_cli_generate_coverable(tmp_path, capsys):
     assert code == 0
     assert "cover: k=3" in capsys.readouterr().out
     assert path.exists()
+
+
+def test_cli_generate_coverable_bad_radius_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "cov.json"
+    for r in ("nan", "inf", "1e308"):
+        assert main(["generate", "--family", "coverable", "--r", r,
+                     "--out", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: coverable family")
+    assert not path.exists()

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agglolab import (
     BallCover,
@@ -28,7 +29,8 @@ from agglolab import (
     volume_lemma_check,
 )
 from agglolab.forge import gen_hypercube_l1, gen_l2_3d, gen_linf_2d, gen_line_1d, gen_random
-from agglolab.metrics import powered_matrix, unpower_array
+from agglolab import oracles
+from agglolab.metrics import powered_matrix, powered_row_blocks, unpower, unpower_array
 
 
 def _line(name, values):
@@ -345,7 +347,8 @@ def test_min_pairwise_matches_sorted_sweep():
     brute = min_pairwise_distance(pts, L2)
     s = np.sort(vals)
     sweep = float(np.diff(s).min())
-    assert brute == pytest.approx(sweep, abs=1e-12)
+    # sqrt(fl(x * x)) == |x| in binary64 barring under- and overflow
+    assert brute == sweep
 
 
 @pytest.mark.parametrize("norm", [L1, L2, LINF, Norm(1.5)], ids=lambda norm: norm.label)
@@ -357,6 +360,97 @@ def test_min_pairwise_distance_matches_pair_loop(norm):
     pts[390] = (pts[3][0] + 1e-6, pts[3][1])
     loop = min(distance(a, b, norm) for i, a in enumerate(pts) for b in pts[i + 1:])
     assert min_pairwise_distance(pts, norm) == loop
+
+
+def _reference_min_pairwise_distance(points, norm):
+    """The former brute force: every powered distance, both triangles, in
+    row blocks, with each point's distance to itself masked out."""
+    best = math.inf
+    for start, block in powered_row_blocks(np.asarray(points, dtype=float), norm):
+        rows = np.arange(len(block))
+        block[rows, start + rows] = math.inf  # a point paired with itself
+        best = min(best, float(block.min()))
+    return unpower(best, norm)
+
+
+_FIVE_NORMS = [L1, L2, LINF, Norm(1.5), Norm(3.0)]
+
+
+def _cloud(dim):
+    ints = st.integers(-6, 6).map(float)
+    floats = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    point = st.tuples(*([st.one_of(ints, floats)] * dim))
+    return st.tuples(st.lists(point, min_size=2, max_size=40),
+                     st.sampled_from([1.0, 1e-150, 1e-3, 1e3, 1e150]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(_cloud), st.sampled_from(_FIVE_NORMS))
+def test_min_pairwise_distance_matches_reference_scan(cloud, norm):
+    # integer coordinates give ties, small and large scales give under- and
+    # overflowing terms
+    pts, scale = cloud
+    pts = [tuple(c * scale for c in p) for p in pts]
+    assert repr(min_pairwise_distance(pts, norm)) == repr(
+        _reference_min_pairwise_distance(pts, norm))
+
+
+def _adversarial_sets():
+    rng = np.random.default_rng(37)
+    flat = rng.uniform(0.0, 1.0, size=(60, 3))
+    flat[:, 1] *= 100.0
+    # one outlier gives x the largest spread, and every other point shares
+    # its x: the sweep's worst case, where every pair is costed
+    flat[:, 0] = 5.0
+    flat[0, 0] = 1e3
+    clusters = np.concatenate([  # two far clusters, each flat along x
+        np.column_stack([np.zeros(30), rng.uniform(0.0, 1.0, size=30)]),
+        np.column_stack([np.full(30, 1e3), rng.uniform(0.0, 1.0, size=30)]),
+    ])
+    tiny = rng.uniform(0.0, 1.0, size=(40, 2)) * 1e-160
+    return {
+        "shared-sort-coordinate": flat.tolist(),
+        "two-flat-clusters": clusters.tolist(),
+        "all-duplicates": [(0.25, -3.0)] * 7,
+        "l2-overflow": [(1e200, 0.0), (-1e200, 0.0), (0.0, 1.0)],
+        "scaled-1e-160": tiny.tolist(),
+        "two-points": [(1.0, 2.0), (-0.5, 7.0)],
+    }
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("norm", _FIVE_NORMS, ids=lambda norm: norm.label)
+@pytest.mark.parametrize("name", sorted(_adversarial_sets()))
+def test_min_pairwise_distance_adversarial_sets(name, norm):
+    pts = [tuple(p) for p in _adversarial_sets()[name]]
+    got = min_pairwise_distance(pts, norm)
+    assert repr(got) == repr(_reference_min_pairwise_distance(pts, norm))
+    if name == "l2-overflow" and norm == L2:
+        assert got == math.inf
+    if name == "all-duplicates":
+        assert repr(got) == "0.0"
+
+
+def test_min_pairwise_distance_costs_few_pairs(monkeypatch):
+    # the packing check's own draw: the sweep costs about n pairs where the
+    # full scan costs n^2; pairs are counted as the rows of the (pairs, d)
+    # difference arrays the sweep hands to the term kernel (its gap tests
+    # pass (pairs, 1) columns)
+    sample = gen_random("coverable", n=2000, d=2, norm=L2, seed=116, k=4, r=1.0)
+    ref = _reference_min_pairwise_distance(sample.points, L2)
+    costed = 0
+    kernel = oracles._powered_norms
+
+    def counting(diff, norm):
+        nonlocal costed
+        if diff.shape[-1] == 2:
+            costed += diff.shape[0]
+        return kernel(diff, norm)
+
+    monkeypatch.setattr(oracles, "_powered_norms", counting)
+    assert repr(min_pairwise_distance(sample.points, L2)) == repr(ref)
+    assert 0 < costed <= 4 * len(sample.points)
 
 
 def test_best_oracle_routes_to_the_cheapest_exact_oracle():
