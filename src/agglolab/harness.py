@@ -216,10 +216,12 @@ def grid_search_enclosing_radius(
     norm, that sublevel box always contains the true center, even along
     nearly flat valley directions (two-point support balls), where the box
     shrinks only like the square root of the slack; later rounds raise the
-    per-axis resolution to push the value error below ``tol``.  A downhill
-    simplex, and for 1 < p < inf an SQP step on the smooth epigraph form,
-    polish the best center; every value is a largest distance from some
-    center, so the result never lies below the true radius.
+    per-axis resolution to push the value error below ``tol``.  For
+    1 <= p < inf one SQP step on the epigraph form, in coordinates scaled by
+    the grid's value, polishes the best center, and its value is taken when
+    it is lower; under l-inf the box midpoint is an exact center.  Every
+    value is a largest distance from some center, so the result never lies
+    below the true radius.
 
     The lattice is evaluated one point at a time over the d coordinate
     columns of the candidates: a point's powered terms are added left to
@@ -232,6 +234,9 @@ def grid_search_enclosing_radius(
     arr = np.asarray(points, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
+    bad = ~np.isfinite(arr).all(axis=1)
+    if bad.any():
+        raise ValueError(f"point {int(bad.argmax())} has a non-finite coordinate")
     if any(np.isinf(block).any() for _, block in powered_row_blocks(arr, norm)):
         return math.inf
     lo = arr.min(axis=0).astype(float)
@@ -303,35 +308,17 @@ def grid_search_enclosing_radius(
             break
 
     # The box shrink stalls along nearly flat valley directions (balls
-    # supported by few points), so polish the best grid center with a
-    # downhill simplex, which tolerates the kinks of a pointwise maximum.
-    from scipy.optimize import minimize
+    # supported by few points), so polish the best grid center by SQP on the
+    # epigraph form, minimize s subject to sum_j |x_ij - c_j|^p <= s, in
+    # coordinates centred on the grid's point and scaled by its value, which
+    # makes the solver's tolerances relative (under l1 the gradient is the
+    # sign; under l-inf the box midpoint, evaluated first, is exact).  A
+    # lower recomputed value is always safe to take: it is the largest
+    # distance from some center, so it never lies below the radius.
+    if p < math.inf and best > 0.0:
+        from scipy.optimize import minimize
 
-    center = best_center
-    width = hi - lo
-    for r in range(3):
-        # each restart spans 10^-r of the final box: a simplex rebuilt at
-        # the default size around a stalled point stalls there again
-        simplex = np.vstack([center, center + np.diag(width * 10.0 ** -r)])
-        res = minimize(
-            worst_at,
-            center,
-            method="Nelder-Mead",
-            options={"xatol": tol * 1e-3, "fatol": tol * 1e-3, "maxiter": 4000,
-                     "initial_simplex": simplex},
-        )
-        center = res.x
-        best = min(best, worst_at(center))
-
-    # The simplex can also stall at a kink where several support points
-    # leave only a narrow cone of descent directions.  Where the powered
-    # distances are differentiable (1 < p < inf), finish with SQP on the
-    # smooth epigraph form, minimize s subject to sum_j |x_ij - c_j|^p <= s,
-    # in coordinates centred on the simplex's point and scaled by its value.
-    # Its center is taken when it beats the simplex by more than the
-    # simplex's own tolerance, that is, when the simplex stalled.
-    if 1.0 < p < math.inf and best > 0.0:
-        rel = (arr - center) / best
+        rel = (arr - best_center) / best
 
         def spare(z):
             return z[-1] - (np.abs(rel - z[:-1]) ** p).sum(axis=1)
@@ -349,8 +336,8 @@ def grid_search_enclosing_radius(
             constraints=[{"type": "ineq", "fun": spare, "jac": spare_jac}],
             options={"maxiter": 100, "ftol": 1e-15},
         )
-        polished = worst_at(center + best * res.x[:d])
-        if polished < best - tol * 1e-3:
+        polished = worst_at(best_center + best * res.x[:d])
+        if polished < best:  # False for a nan
             best = polished
     return best
 

@@ -110,16 +110,15 @@ def _sorted_clusters(blocks: Sequence[Sequence[int]]) -> tuple[Cluster, ...]:
     return tuple(clusters)
 
 
-def _farthest_first_order(dpow: np.ndarray) -> list[int]:
-    # Spread-out prefixes make branch-and-bound prune early.
-    n = dpow.shape[0]
+def _farthest_first(dpow: np.ndarray, count: int) -> tuple[list[int], np.ndarray]:
+    """The first ``count`` farthest-first picks from point 0 (Gonzalez 1985),
+    and each point's powered distance to its nearest pick."""
     order = [0]
     nearest = dpow[0].copy()
-    for _ in range(n - 1):
-        nxt = int(nearest.argmax())
-        order.append(nxt)
-        nearest = np.minimum(nearest, dpow[nxt])
-    return order
+    for _ in range(count - 1):
+        order.append(int(nearest.argmax()))
+        nearest = np.minimum(nearest, dpow[order[-1]])
+    return order, nearest
 
 
 def optimal_by_partition_enum(
@@ -145,7 +144,7 @@ def optimal_by_partition_enum(
 
     dpow = powered_matrix(inst)
     norm = inst.norm
-    order = _farthest_first_order(dpow)
+    order, _ = _farthest_first(dpow, n)  # spread-out prefixes prune early
 
     # Per-block state: member ids (original numbering) and powered diameter.
     blocks: list[list[int]] = []
@@ -309,13 +308,8 @@ def optimal_discrete_kcenter(inst: Instance, k: int) -> OracleResult:
     # overflows (np.unique would import numpy.ma on first use, 6 ms)
     vals = np.sort(dpow, axis=None)
     vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
-    # farthest-first traversal (Gonzalez 1985): k centers whose cost bounds
-    # the bisection from above
-    centers = [0]
-    nearest = dpow[0].copy()
-    for _ in range(k - 1):
-        centers.append(int(nearest.argmax()))
-        nearest = np.minimum(nearest, dpow[centers[-1]])
+    # k farthest-first centers, whose cost bounds the bisection from above
+    centers, nearest = _farthest_first(dpow, k)
     lo, hi = 0, int(np.searchsorted(vals, nearest.max()))
     while lo < hi:
         mid = (lo + hi) // 2

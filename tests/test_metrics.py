@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.optimize import OptimizeResult
+from scipy.optimize import OptimizeResult, minimize
 
 from agglolab import (
     Cluster,
@@ -421,36 +421,13 @@ def _reference_grid_search(
         if slack <= tol / 2.0:
             break
 
-    # The box shrink stalls along nearly flat valley directions (balls
-    # supported by few points), so polish the best grid center with a
-    # downhill simplex, which tolerates the kinks of a pointwise maximum.
-    from scipy.optimize import minimize
+    # one SQP step on the epigraph form for 1 <= p < inf, in coordinates
+    # centred on the grid's point and scaled by its value; its value is
+    # taken whenever it is lower
+    if p < math.inf and best > 0.0:
+        from scipy.optimize import minimize
 
-    center = best_center
-    width = hi - lo
-    for r in range(3):
-        # each restart spans 10^-r of the final box: a simplex rebuilt at
-        # the default size around a stalled point stalls there again
-        simplex = np.vstack([center, center + np.diag(width * 10.0 ** -r)])
-        res = minimize(
-            lambda c: float(worst(c[None, :])[0]),
-            center,
-            method="Nelder-Mead",
-            options={"xatol": tol * 1e-3, "fatol": tol * 1e-3, "maxiter": 4000,
-                     "initial_simplex": simplex},
-        )
-        center = res.x
-        best = min(best, float(worst(center[None, :])[0]))
-
-    # The simplex can also stall at a kink where several support points
-    # leave only a narrow cone of descent directions.  Where the powered
-    # distances are differentiable (1 < p < inf), finish with SQP on the
-    # smooth epigraph form, minimize s subject to sum_j |x_ij - c_j|^p <= s,
-    # in coordinates centred on the simplex's point and scaled by its value.
-    # Its center is taken when it beats the simplex by more than the
-    # simplex's own tolerance, that is, when the simplex stalled.
-    if 1.0 < p < math.inf and best > 0.0:
-        rel = (arr - center) / best
+        rel = (arr - best_center) / best
 
         def spare(z):
             return z[-1] - (np.abs(rel - z[:-1]) ** p).sum(axis=1)
@@ -468,8 +445,8 @@ def _reference_grid_search(
             constraints=[{"type": "ineq", "fun": spare, "jac": spare_jac}],
             options={"maxiter": 100, "ftol": 1e-15},
         )
-        polished = float(worst((center + best * res.x[:d])[None, :])[0])
-        if polished < best - tol * 1e-3:
+        polished = float(worst((best_center + best * res.x[:d])[None, :])[0])
+        if polished < best:
             best = polished
     return best
 
@@ -569,6 +546,66 @@ def test_grid_search_overflow_is_infinite_without_warnings():
         # every pairwise distance is finite here, though some grid values are not
         finite = [(0.0, 0.0), (1e154, 5e153), (5e153, 1e154)]
         assert grid_search_enclosing_radius(finite, L2) == 5.892556509887897e153
+
+
+def _l1_enclosing_radius(points):
+    # min t s.t. sigma . (x_i - c) <= t for every point i and sign vector
+    # sigma, an LP whose optimum is the exact l1 radius
+    from itertools import product
+    from scipy.optimize import linprog
+
+    arr = np.asarray(points, dtype=float)
+    d = arr.shape[1]
+    signs = np.array(list(product((-1.0, 1.0), repeat=d)))
+    rows = np.hstack([np.repeat(-signs, len(arr), axis=0),
+                      -np.ones((len(signs) * len(arr), 1))])
+    rhs = -(signs @ arr.T).ravel()
+    res = linprog(np.eye(d + 1)[-1], A_ub=rows, b_ub=rhs, bounds=[(None, None)] * (d + 1))
+    assert res.status == 0
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0, 1e100, 1e154])
+def test_grid_search_is_relative_at_every_scale(scale):
+    # an absolute tolerance once left the oracle 1.9 % above Welzl's radius
+    # at 1e-9 and spent 0.9 s at 1e154; the unit clouds lie in [0, 0.5]^d,
+    # so no squared distance overflows at 1e154
+    rng = np.random.default_rng(21)
+    for _ in range(6):
+        n, d = int(rng.integers(3, 9)), int(rng.integers(2, 4))
+        unit = rng.uniform(0.0, 0.5, size=(n, d))
+        points = (unit * scale).tolist()
+        inst = Instance.from_points("scaled", points, L2)
+        exact = {
+            L2: radius(range(n), inst).radius,
+            LINF: float((unit.max(axis=0) - unit.min(axis=0)).max()) / 2.0 * scale,
+            L1: _l1_enclosing_radius(unit) * scale,
+        }
+        for norm, want in exact.items():
+            got = grid_search_enclosing_radius(points, norm)
+            assert abs(got - want) <= 1e-9 * want, (norm, got, want)
+
+
+def test_grid_search_polishes_with_one_sqp_call():
+    s = 1e154
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("method"))
+        return minimize(*args, **kwargs)
+
+    with mock.patch("scipy.optimize.minimize", counted):
+        got = grid_search_enclosing_radius([(0.0, 0.0), (s, 0.5 * s), (0.5 * s, s)], L2)
+    assert calls == ["SLSQP"]
+    assert got == pytest.approx(5.892556509887897e153, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_search_rejects_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="point 1 has a non-finite coordinate"):
+        grid_search_enclosing_radius([(0.0, 1.0), (2.0, bad), (1.0, 0.0)], L2)
+    with pytest.raises(ValueError, match="point 2 has a non-finite coordinate"):
+        grid_search_enclosing_radius([0.0, 1.0, bad], L1)
 
 
 def test_cached_cluster_values_are_exact_copies():
