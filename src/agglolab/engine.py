@@ -12,11 +12,12 @@ this numbering and every scripted merge must itself be cost-minimal at its
 step, otherwise the run aborts with :class:`ScriptViolationError`.
 
 The loop keeps a table of the merge cost of every pair of live clusters.
-Radius linkage under l2 and general p fills it lazily: an entry holds a
-lower bound until a step's tie band can reach it, and each step first
-settles the table, costing exactly every entry that the pick, the tie
-order, a script or the tie margin could see.  Every recorded cost is the
-cost function's value on the union, never a bound.
+Radius linkage under l2 and general p fills it lazily: an entry holds half
+the diameter of its union, a lower bound under every norm, until a step's
+tie band can reach it, and each step first settles the table, costing
+exactly every entry that the pick, the tie order, a script or the tie
+margin could see.  Every recorded cost is the cost function's value on the
+union, never a bound.
 
 Costs along a run never decrease: the cost of each level equals the cost of
 the cluster created last, and the cost of any available union bounds the
@@ -41,6 +42,7 @@ from .metrics import (
     Instance,
     Problem,
     powered_matrix,
+    powered_row_blocks,
     radius,
     unpower,
     unpower_array,
@@ -312,34 +314,24 @@ class _RadiusCosts(_PairTable):
     union (the diagonal and dead slots count as exact, as nothing costs
     them).  ``members`` lists the members of the cluster at each slot.
 
-    Under l2 the radius is monotone under union and at least half the
-    diameter, so the entry for a merged cluster A u B against C is bounded
-    by max(diam(A u B u C) / 2, the old entries A-C and B-C).  The diameters
-    come from the elementwise max of ``_DiameterCosts``.  rad(A u B) and
-    rad C would add at most a tie width: each was the least entry, up to a
-    tie width, of the step that made its cluster, and the old entries are
-    maxima over entries of that step.  Welzl's ``covers`` slack (about
-    1e-12 relative) and rounding can put a ball a few ulps below its bound,
-    so ``settle_to`` compares bounds deflated by a tie width
-    (``_deflate``).  Under general p the ball solver is approximate and
-    nothing is certified: every bound is 0, so each new row is costed in
-    full at the next settle, in the order an eager table costs it.
+    Under every norm the radius of a union is at least half its diameter,
+    and every ball ``radius()`` reports is the largest distance from some
+    center, so it is never below that either.  The entry for a merged
+    cluster A u B against C is bounded by diam(A u B u C) / 2, with the
+    diameters from the elementwise max of ``_DiameterCosts``.  Welzl's
+    ``covers`` slack (about 1e-12 relative) and rounding can put a ball a
+    few ulps below its bound, so ``settle_to`` compares bounds deflated by a
+    tie width (``_deflate``).
     """
 
     def __init__(self, inst: Instance, members: list[tuple[int, ...]]):
-        n = len(inst.points)
         self.inst = inst
         self.members = members
-        self.exact = np.eye(n, dtype=bool)
-        if inst.norm.p == 2.0:
-            # an overflowing squared distance is inf, and so is its ball
-            with np.errstate(over="ignore"):
-                self.diam = unpower_array(powered_matrix(inst), inst.norm)
-            bounds = self.diam / 2.0
-        else:
-            self.diam = None
-            bounds = np.zeros((n, n))
-        super().__init__(bounds)
+        self.exact = np.eye(len(inst.points), dtype=bool)
+        # an overflowing powered distance is inf, and so is its ball
+        with np.errstate(over="ignore"):
+            self.diam = unpower_array(powered_matrix(inst), inst.norm)
+        super().__init__(self.diam / 2.0)
 
     def _cost(self, a: int, b: int) -> None:
         value = radius(sorted(self.members[a] + self.members[b]), self.inst).radius
@@ -348,9 +340,7 @@ class _RadiusCosts(_PairTable):
 
     def settle_to(self, limit: float) -> bool:
         # a row holds an entry whose deflated bound is at most limit exactly
-        # when its minimum does, and the upper triangle of those rows in
-        # row-major order is the slot order an eager table costs pairs in; a
-        # run whose ball solver fails stops at the first failing union
+        # when its minimum does
         m, rowmin = self.m, self.rowmin
         rows = np.flatnonzero(_deflate(rowmin) <= limit)
         due = ~self.exact[rows] & (_deflate(m[rows]) <= limit)
@@ -373,12 +363,10 @@ class _RadiusCosts(_PairTable):
     def _row(self, lo: int, hi: int, others: np.ndarray) -> np.ndarray:
         self.exact[hi, :] = self.exact[:, hi] = True
         self.exact[lo, others] = self.exact[others, lo] = False
-        if self.diam is None:
-            return np.zeros(len(others))
-        d, m = self.diam, self.m
+        d = self.diam
         diam = np.maximum(np.maximum(d[lo, others], d[hi, others]), d[lo, hi])
         d[lo, others] = d[others, lo] = diam
-        return np.maximum(diam / 2.0, np.maximum(m[lo, others], m[hi, others]))
+        return diam / 2.0
 
 
 def _make_backend(inst: Instance, linkage: Problem, members: list[tuple[int, ...]]) -> _PairTable:
@@ -530,12 +518,18 @@ def agglomerate_nn_chain(inst: Instance) -> MergeHistory:
     """
     # imported here: scipy.cluster adds about 24 MB to any process that loads it
     from scipy.cluster.hierarchy import linkage
-    from scipy.spatial.distance import squareform
 
     n = len(inst.points)
     if n <= 1:
         return MergeHistory(instance=inst, linkage=Problem.DIAMETER, steps=())
-    z = linkage(squareform(powered_matrix(inst), checks=False), method="complete")
+    # scipy's condensed vector: row i's entries after the diagonal, row after
+    # row, filled block by block with no n x n matrix
+    condensed = np.empty(n * (n - 1) // 2)
+    for start, block in powered_row_blocks(inst.coords(), inst.norm):
+        for i, row in enumerate(block, start):
+            at = i * (2 * n - i - 1) // 2
+            condensed[at:at + n - i - 1] = row[i + 1:]
+    z = linkage(condensed, method="complete")
     pairs = z[:, :2].astype(int).tolist()
     sizes = z[:, 3].astype(int).tolist()
     costs = [unpower(h, inst.norm) for h in z[:, 2].tolist()]

@@ -11,8 +11,9 @@ non-empty subset of an instance:
 
 For the l2 norm the exact enclosing ball is computed with a randomized
 incremental (Welzl-style) algorithm; for l_infinity it is the per-coordinate
-midrange.  For other finite p the center is found by iterative convex
-minimization and the result is flagged approximate.
+midrange.  For other finite p a set of at most two distinct points has its
+midpoint as the exact center; otherwise the center is found by iterative
+convex minimization and the result is flagged approximate.
 
 Distance comparisons for l2 (and general finite p) are done on p-th powers
 internally, so ties between integer-coordinate point sets are exact; the
@@ -366,9 +367,10 @@ def radius(c, inst: Instance) -> EnclosingBall:
     """Minimum enclosing ball of the cluster under the instance norm.
 
     Exact for l2 (randomized incremental algorithm), for l_infinity
-    (per-coordinate midrange) and for one-dimensional instances (midrange).
-    Other finite p fall back to iterative convex minimization of
-    ``y -> max_x ||x - y||`` and are flagged approximate.
+    (per-coordinate midrange), for one-dimensional instances (midrange) and,
+    under every norm, for at most two distinct points (their midpoint).
+    Other point sets under finite p fall back to iterative convex
+    minimization of ``y -> max_x ||x - y||`` and are flagged approximate.
     """
     ids = _member_ids(c)
     _check_ids(ids, inst)
@@ -468,6 +470,14 @@ def _euclidean_ball(pts: list[tuple[float, ...]]) -> EnclosingBall:
 
 
 def _iterative_ball(pts: list[tuple[float, ...]], norm: Norm, max_iter: int = 400) -> EnclosingBall:
+    # at most two distinct points: their midpoint is the exact center under
+    # every norm, and halving each end first keeps it finite
+    ends = sorted(set(pts))
+    if len(ends) <= 2:
+        x, y = ends[0], ends[-1]
+        center = tuple(a / 2.0 + b / 2.0 for a, b in zip(x, y))
+        rad = max(distance(x, center, norm), distance(y, center, norm))
+        return EnclosingBall(rad, center, approximate=False)
     # Epigraph form: minimize r subject to ||x_i - y|| <= r, solved with SLSQP
     # from a couple of starting centers; the best feasible center wins.
     from scipy.optimize import minimize

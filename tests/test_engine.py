@@ -26,7 +26,7 @@ from agglolab import (
 )
 from agglolab.engine import TIE_ABS_TOL, TIE_REL_TOL, tie_width
 from agglolab.forge import gen_line_1d, gen_linf_2d, gen_random
-from agglolab.metrics import SolverError
+from agglolab.metrics import SolverError, powered_matrix
 from agglolab.oracles import optimal_by_partition_enum, optimal_diameter_1d
 
 
@@ -263,6 +263,21 @@ def test_nn_chain_matches_naive_small_sweep():
     assert checked >= 20
 
 
+def test_nn_chain_fills_scipys_condensed_vector_row_block_by_row_block():
+    # n = 320 in d = 2 spans four row blocks of powered_row_blocks: the
+    # costs equal scipy's linkage on the full powered matrix bit for bit,
+    # and on a tie-free draw the steps equal the naive loop's
+    from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import squareform
+
+    inst = gen_random("uniform_cube", n=320, d=2, norm=L2, seed=3)
+    assert greedy_tie_margin(inst, Problem.DIAMETER) > 1e-6
+    z = linkage(squareform(powered_matrix(inst), checks=False), method="complete")
+    chain = agglomerate_nn_chain(inst)
+    assert sorted(s.cost for s in chain.steps) == sorted(math.sqrt(h) for h in z[:, 2].tolist())
+    assert chain.steps == agglomerate(inst, Problem.DIAMETER).steps
+
+
 def test_nn_chain_on_exact_ties_is_a_valid_greedy_run():
     # integer coordinates tie exactly; whichever hierarchy scipy builds, the
     # replay must respect readiness and record nondecreasing costs
@@ -478,12 +493,18 @@ def test_lazy_radius_linkage_matches_eager_on_the_benchmark_instance(monkeypatch
 
 
 def test_lazy_radius_linkage_edge_cases_without_warnings():
-    # squared distances that overflow give infinite bounds and balls, and
+    # powered distances that overflow give infinite bounds and balls, and
     # an infinite bound deflates to inf, not to inf - inf; on duplicates
-    # every bound is 0 and every pair is costed
-    huge = Instance.from_points("huge", [(1e200, 0.0), (-1e200, 0.0), (0.0, 1.0)], L2)
-    dups = Instance.from_points("dups", [(0.5, 0.25)] * 6, L2)
-    for inst in (huge, dups):
+    # every bound is 0 and every pair is costed, and under general p a
+    # union of at most two distinct points is their midpoint's ball
+    huge = [(1e200, 0.0), (-1e200, 0.0), (0.0, 1.0)]
+    dups = [(0.5, 0.25)] * 6
+    cases = [("huge", huge, L2), ("huge", huge, L1), ("huge", huge, Norm(1.5))]
+    for norm in (L1, Norm(1.5), Norm(3.0)):
+        cases += [("pair", [(0.5, 0.25)] * 3 + [(-1.0, 2.0)], norm), ("dups", dups, norm)]
+    cases.append(("dups", dups, L2))
+    for name, pts, norm in cases:
+        inst = Instance.from_points(name, pts, norm)
         steps = _eager(agglomerate, inst, Problem.RADIUS).steps
         margin = _eager(greedy_tie_margin, inst, Problem.RADIUS)
         with warnings.catch_warnings():
@@ -509,57 +530,48 @@ def test_lazy_radius_linkage_deflates_bounds_at_the_band_edge():
     assert steps[0][:3] == (0, 1, ball)
 
 
-def test_general_p_radius_calls_follow_the_eager_order(monkeypatch):
-    # under general p no bound is certified, so the lazy backend makes the
-    # eager backend's calls in the eager order, and a failing ball solver
-    # stops both on the same union: the lp slice's known failures stay
+def test_general_p_radius_linkage_is_lazy_and_matches_eager(monkeypatch):
+    # half the diameter bounds the radius under every norm, so an lp-slice
+    # run costs n - 1 balls, not the eager table's (n - 1)^2, and no run
+    # raises (its two-point balls are midpoints); the history equals the
+    # eager table's wherever that run finishes.  Balls are memoized, as the
+    # eager runs repeat them
     calls, memo = [], {}
 
-    def recording(members, inst):
+    def memoized(members, inst):
+        calls.append(tuple(members))
         key = (id(inst), tuple(members))
-        calls.append(key[1])
         if key not in memo:
-            try:
-                memo[key] = radius(members, inst)
-            except SolverError as err:
-                memo[key] = err
-        if isinstance(memo[key], SolverError):
-            raise memo[key]
+            memo[key] = radius(members, inst)
         return memo[key]
 
-    monkeypatch.setattr(engine, "radius", recording)
-    failed = set()
-    for p in (1.5, 3.0):
+    monkeypatch.setattr(engine, "radius", memoized)
+    for p in (1.0, 1.5, 3.0):
         for seed in range(100, 104):
             inst = gen_random("uniform_cube", n=12, d=2, norm=Norm(p), seed=seed)
-            runs = []
-            for backend in (_lazy_backend, _eager_backend):
-                del calls[:]
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(engine, "_make_backend", backend)
-                    try:
-                        outcome = agglomerate(inst, Problem.RADIUS).steps
-                    except SolverError:
-                        outcome = None
-                runs.append((outcome, list(calls)))
-            assert runs[0] == runs[1]
-            if runs[0][0] is None:
-                failed.add((p, seed))
-    assert failed == {(1.5, 101), (1.5, 103), (3.0, 101), (3.0, 102)}
+            del calls[:]
+            agglomerate(inst, Problem.RADIUS)
+            assert len(calls) == 11
+            try:
+                _eager(agglomerate, inst, Problem.RADIUS)
+            except SolverError:
+                continue
+            _assert_radius_matches_eager(inst)
 
 
 def test_radius_linkage_scale_pin(monkeypatch):
-    # about n balls at n = 256, not n^2; the recorded level costs are the
-    # radii of the levels' clusters
+    # about n balls, not n^2, at n = 256 under l2 and at n = 64 under other
+    # p; the recorded level costs are the radii of the levels' clusters
     calls = _count_engine_radius_calls(monkeypatch)
-    n = 256
-    inst = gen_random("uniform_cube", n=n, d=2, norm=L2, seed=1)
-    hist = agglomerate(inst, Problem.RADIUS)
-    assert len(calls) <= 4 * n
-    hist.check_invariants(deep=True)
-    for k in (1, 2, 4, 8, 16):
-        level = max(radius(c, inst).radius for c in hist.clusters_at_k(k))
-        assert abs(hist.cost_at_k(k) - level) <= tie_width(level)
+    for n, norm in ((256, L2), (64, L1), (64, Norm(1.5)), (64, Norm(3.0))):
+        del calls[:]
+        inst = gen_random("uniform_cube", n=n, d=2, norm=norm, seed=1)
+        hist = agglomerate(inst, Problem.RADIUS)
+        assert len(calls) <= 4 * n
+        hist.check_invariants(deep=True)
+        for k in (1, 2, 4, 8, 16):
+            level = max(radius(c, inst).radius for c in hist.clusters_at_k(k))
+            assert abs(hist.cost_at_k(k) - level) <= tie_width(level)
 
 
 def test_radius_linkage_by_spans_matches_ball_solver(monkeypatch):

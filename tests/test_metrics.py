@@ -24,6 +24,7 @@ from agglolab import (
 )
 from agglolab.forge import gen_line_1d, gen_hypercube_l1
 from agglolab import harness
+from agglolab.engine import tie_width
 from agglolab.harness import grid_search_enclosing_radius
 from agglolab.metrics import powered_distance, powered_matrix, unpower, unpower_array
 
@@ -165,6 +166,27 @@ def test_radius_solver_failure_carries_best_ball():
         _iterative_ball(pts, L1, max_iter=0)
     assert err.value.best is not None
     assert err.value.best.radius > 0.0
+
+
+def test_radius_two_distinct_points_is_their_midpoint_under_every_p():
+    rng = np.random.default_rng(11)
+    for norm in (L1, Norm(1.5), Norm(3.0)):
+        for d in (2, 3):
+            for _ in range(5):
+                a, b = (tuple(rng.uniform(-10.0, 10.0, d).tolist()) for _ in range(2))
+                ball = radius(range(3), Instance.from_points("pair", [a, b, a], norm))
+                assert not ball.approximate
+                assert ball.center == tuple(x / 2 + y / 2 for x, y in zip(a, b))
+                half = distance(a, b, norm) / 2
+                assert abs(ball.radius - half) <= tie_width(half)
+    # halving each end first keeps the center finite where (a + b) / 2
+    # would overflow
+    a, b = (1.7e308, 1.0), (1.6e308, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ball = radius((0, 1), Instance.from_points("top", [a, b], L1))
+    assert ball.center == (a[0] / 2 + b[0] / 2, 1.5)
+    assert abs(ball.radius - distance(a, b, L1) / 2) <= tie_width(ball.radius)
 
 
 def test_radius_one_dimensional_is_midrange_for_any_norm():
