@@ -41,8 +41,9 @@ from .metrics import (
     Cluster,
     Instance,
     Problem,
+    _BLOCK_ELEMENTS,
+    _powered_norms,
     powered_matrix,
-    powered_row_blocks,
     radius,
     unpower,
     unpower_array,
@@ -329,8 +330,7 @@ class _RadiusCosts(_PairTable):
         self.members = members
         self.exact = np.eye(len(inst.points), dtype=bool)
         # an overflowing powered distance is inf, and so is its ball
-        with np.errstate(over="ignore"):
-            self.diam = unpower_array(powered_matrix(inst), inst.norm)
+        self.diam = unpower_array(powered_matrix(inst), inst.norm)
         super().__init__(self.diam / 2.0)
 
     def _cost(self, a: int, b: int) -> None:
@@ -515,6 +515,13 @@ def agglomerate_nn_chain(inst: Instance) -> MergeHistory:
     step.  On exactly tied costs scipy may build another hierarchy than the
     naive loop's lexicographic one; its replay still has nested levels and
     nondecreasing costs.
+
+    The distances go to scipy as its condensed vector, which is filled a
+    block of rows at a time with no n x n matrix: each block costs only the
+    pairs after its first row's diagonal, column by column through the one
+    term kernel of :mod:`agglolab.metrics`, so every entry equals
+    ``powered_distance`` bit for bit.  Where some powered distance overflows
+    to inf, which scipy rejects, the run is the naive loop's.
     """
     # imported here: scipy.cluster adds about 24 MB to any process that loads it
     from scipy.cluster.hierarchy import linkage
@@ -523,12 +530,22 @@ def agglomerate_nn_chain(inst: Instance) -> MergeHistory:
     if n <= 1:
         return MergeHistory(instance=inst, linkage=Problem.DIAMETER, steps=())
     # scipy's condensed vector: row i's entries after the diagonal, row after
-    # row, filled block by block with no n x n matrix
+    # row.  Rows start..stop-1 against columns start+1.. form one block; the
+    # entries on or above its diagonal are the rows' condensed segment, in
+    # row-major order
     condensed = np.empty(n * (n - 1) // 2)
-    for start, block in powered_row_blocks(inst.coords(), inst.norm):
-        for i, row in enumerate(block, start):
-            at = i * (2 * n - i - 1) // 2
-            condensed[at:at + n - i - 1] = row[i + 1:]
+    cols = np.ascontiguousarray(inst.coords().T)
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    upper = np.arange(n - 1) >= np.arange(rows)[:, None]
+    for start in range(0, n - 1, rows):
+        stop = min(start + rows, n - 1)
+        block = _powered_norms((c[start:stop, None] - c[start + 1:] for c in cols), inst.norm)
+        segment = condensed[start * (2 * n - start - 1) // 2:stop * (2 * n - stop - 1) // 2]
+        segment[:] = block[upper[:stop - start, :n - start - 1]]
+        if segment.max() == math.inf:
+            # scipy rejects an infinite distance; pairs whose distance
+            # overflows all tie at inf, and the naive loop breaks such ties
+            return agglomerate(inst, Problem.DIAMETER)
     z = linkage(condensed, method="complete")
     pairs = z[:, :2].astype(int).tolist()
     sizes = z[:, 3].astype(int).tolist()

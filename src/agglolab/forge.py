@@ -350,7 +350,7 @@ def gen_random(
             # enough rows to finish at the acceptance rate seen so far
             rows = min(64 + (n - got) * (drawn + 1) // (got + 1) * 5 // 4, 1 << 16)
             block = rng.uniform(-r, r, size=(rows, d))
-            block = block[unpower_array(_powered_norms(block.copy(), norm), norm) <= r]
+            block = block[unpower_array(_powered_norms(block.T.copy(), norm), norm) <= r]
             offsets.append(block)
             got += len(block)
             drawn += rows

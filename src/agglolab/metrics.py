@@ -244,32 +244,44 @@ def distance(a: Sequence[float], b: Sequence[float], norm: Norm) -> float:
     return unpower(powered_distance(a, b, norm), norm)
 
 
-_BLOCK_ELEMENTS = 1 << 16  # cap on the (rows, n, d) difference slab of one block
+_BLOCK_ELEMENTS = 1 << 16  # cap on the entries (rows x columns) of one block
 
 
-def _powered_norms(diff: np.ndarray, norm: Norm) -> np.ndarray:
-    """Powered norms over the last axis of a ``(..., d)`` array of coordinate
-    differences, which is overwritten by its terms.
+@np.errstate(over="ignore")
+def _powered_norms(cols: Iterable[np.ndarray], norm: Norm) -> np.ndarray:
+    """Powered norms of difference vectors given as their d coordinate
+    columns: the j-th column holds the j-th coordinate difference of every
+    vector, and all columns share one shape.  The columns are overwritten
+    by their terms.
 
-    The terms are accumulated left to right, as in :func:`powered_distance`
-    (``sum`` over an axis adds eight or more terms pairwise), and general-p
-    terms are raised by ``np.float_power``, which calls the C library's
-    ``pow`` as Python's float ``**`` does; so every value equals
-    :func:`powered_distance` bit for bit (numpy's ``**`` has its own SIMD
-    routine, which differs from ``pow`` in the last bit on about 5 % of
-    inputs).
+    Each elementwise pass runs over a whole column, one coordinate at a
+    time.  The terms are the squared differences under l2, and otherwise
+    the absolute differences, raised by ``np.float_power`` for general p,
+    which calls the C library's ``pow`` as Python's float ``**`` does
+    (numpy's ``**`` has its own SIMD routine, which differs from ``pow`` in
+    the last bit on about 5 % of inputs); they are added left to right, or
+    under l_inf their running maximum is kept.  So every value equals
+    :func:`powered_distance` bit for bit.  A difference, power or sum that
+    overflows is inf, silently, as there: the columns are read inside the
+    kernel's ``errstate``, so a caller passes a generator that subtracts
+    each column as it is read.
     """
-    np.abs(diff, out=diff)
     p = norm.p
-    if math.isinf(p):
-        return diff.max(axis=-1)
-    if p == 2.0:
-        diff *= diff
-    elif p != 1.0:
-        np.float_power(diff, p, out=diff)
-    total = diff[..., 0].copy()
-    for j in range(1, diff.shape[-1]):
-        total += diff[..., j]
+    inf = math.isinf(p)
+    total = None
+    for col in cols:
+        if p == 2.0:
+            term = np.multiply(col, col, out=col)
+        else:
+            term = np.abs(col, out=col)
+            if p != 1.0 and not inf:
+                np.float_power(term, p, out=term)
+        if total is None:
+            total = term
+        elif inf:
+            np.maximum(total, term, out=total)
+        else:
+            total += term
     return total
 
 
@@ -278,14 +290,17 @@ def powered_row_blocks(pts: np.ndarray, norm: Norm) -> Iterator[tuple[int, np.nd
     at a time: yields ``(start, block)`` with ``block[i, j]`` the powered
     distance between rows ``start + i`` and ``j``.
 
-    Each entry is computed alone by :func:`_powered_norms`, so the values do
-    not depend on the block size and equal :func:`powered_distance` bit for
-    bit.
+    A block is at most ``_BLOCK_ELEMENTS`` entries, and it is built from
+    the d column differences ``c[start:stop, None] - c``, one per coordinate
+    column ``c``, by :func:`_powered_norms`.  Each entry is computed alone,
+    so the values do not depend on the block size and equal
+    :func:`powered_distance` bit for bit.
     """
-    n, d = pts.shape
-    rows = max(1, _BLOCK_ELEMENTS // max(n * d, 1))
+    n = len(pts)
+    cols = np.ascontiguousarray(pts.T)
+    rows = max(1, _BLOCK_ELEMENTS // max(n, 1))
     for start in range(0, n, rows):
-        yield start, _powered_norms(pts[start:start + rows, None, :] - pts[None, :, :], norm)
+        yield start, _powered_norms((c[start:start + rows, None] - c for c in cols), norm)
 
 
 def powered_matrix(inst: Instance) -> np.ndarray:
@@ -433,15 +448,23 @@ def _circumball(boundary: list[np.ndarray]) -> tuple[np.ndarray | None, float]:
     return center, r2
 
 
+def _has_infinite_pair(arr: np.ndarray, norm: Norm) -> bool:
+    """Whether the powered distance of some pair of rows overflows to inf."""
+    return any(block.max() == math.inf for _, block in powered_row_blocks(arr, norm))
+
+
+def _infinite_ball(arr: np.ndarray) -> EnclosingBall:
+    # the ball of a set whose powered diameter is inf, as in powered_distance
+    return EnclosingBall(math.inf, tuple((arr.min(axis=0) / 2 + arr.max(axis=0) / 2).tolist()))
+
+
 def _euclidean_ball(pts: list[tuple[float, ...]]) -> EnclosingBall:
     d = len(pts[0])
     arr = np.asarray(pts, dtype=float)
-    # infinite where a squared distance overflows, as in powered_distance;
-    # none can while every coordinate is within 1e150 (and d < 4e7)
-    if float(np.abs(arr).max()) > 1e150 and math.isinf(
-        max(powered_distance(p, q, L2) for i, p in enumerate(pts) for q in pts[i + 1:])
-    ):
-        return EnclosingBall(math.inf, tuple((arr.min(axis=0) / 2 + arr.max(axis=0) / 2).tolist()))
+    # no squared distance can overflow while every coordinate is within
+    # 1e150 (and d < 4e7)
+    if float(np.abs(arr).max()) > 1e150 and _has_infinite_pair(arr, L2):
+        return _infinite_ball(arr)
     order = [np.asarray(p, dtype=float) for p in pts]
     random.Random(0x5EED).shuffle(order)  # fixed seed: result is deterministic
 
@@ -478,11 +501,14 @@ def _iterative_ball(pts: list[tuple[float, ...]], norm: Norm, max_iter: int = 40
         center = tuple(a / 2.0 + b / 2.0 for a, b in zip(x, y))
         rad = max(distance(x, center, norm), distance(y, center, norm))
         return EnclosingBall(rad, center, approximate=False)
+    arr = np.asarray(pts, dtype=float)
+    # SLSQP cannot start from an infinite radius
+    if _has_infinite_pair(arr, norm):
+        return _infinite_ball(arr)
     # Epigraph form: minimize r subject to ||x_i - y|| <= r, solved with SLSQP
     # from a couple of starting centers; the best feasible center wins.
     from scipy.optimize import minimize
 
-    arr = np.asarray(pts, dtype=float)
     d = arr.shape[1]
 
     def worst(center: np.ndarray) -> float:

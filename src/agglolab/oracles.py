@@ -429,18 +429,20 @@ def min_pairwise_distance(points: Sequence[Sequence[float]], norm: Norm) -> floa
     n = len(pts)
     if n < 2:
         raise ValueError("need at least two points")
-    axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
-    pts = pts[np.argsort(pts[:, axis])]
-    key = pts[:, axis:axis + 1]
+    # half spreads: a full spread can overflow
+    axis = int(np.argmax(pts.max(axis=0) / 2 - pts.min(axis=0) / 2))
+    cols = np.ascontiguousarray(pts[np.argsort(pts[:, axis])].T)
+    key = cols[axis:axis + 1]
     best = math.inf
     live = np.arange(n - 1)  # starts i whose pair (i, i + s) may still beat best
     for s in range(1, n):
         live = live[live < n - s]
-        gaps = _powered_norms(key[live + s] - key[live], norm)
+        gaps = _powered_norms((c[live + s] - c[live] for c in key), norm)
         live = live[gaps <= best]
         if not live.size:
             break
-        best = min(best, float(_powered_norms(pts[live + s] - pts[live], norm).min()))
+        ends = live + s
+        best = min(best, float(_powered_norms((c[ends] - c[live] for c in cols), norm).min()))
         if best == 0.0:
             break
     return unpower(best, norm)

@@ -26,7 +26,7 @@ from agglolab import (
 )
 from agglolab.engine import TIE_ABS_TOL, TIE_REL_TOL, tie_width
 from agglolab.forge import gen_line_1d, gen_linf_2d, gen_random
-from agglolab.metrics import SolverError, powered_matrix
+from agglolab.metrics import SolverError, powered_matrix, unpower
 from agglolab.oracles import optimal_by_partition_enum, optimal_diameter_1d
 
 
@@ -120,11 +120,10 @@ def test_infinite_costs_tie_and_merge():
     # squared l2 distances overflow to inf; every pair then ties at inf and
     # the run merges lexicographically instead of picking a dead id
     inst = Instance.from_points("huge", [(1e200,), (-1e200,), (0.0,)], L2)
-    with np.errstate(over="ignore"):
-        for problem in (Problem.DIAMETER, Problem.DISCRETE_RADIUS):
-            h = agglomerate(inst, problem)
-            h.check_invariants(deep=True)
-            assert [(s.id_a, s.id_b, s.cost) for s in h.steps] == [(0, 1, math.inf), (2, 3, math.inf)]
+    for problem in (Problem.DIAMETER, Problem.DISCRETE_RADIUS):
+        h = agglomerate(inst, problem)
+        h.check_invariants(deep=True)
+        assert [(s.id_a, s.id_b, s.cost) for s in h.steps] == [(0, 1, math.inf), (2, 3, math.inf)]
 
 
 def test_cost_at_k_boundaries():
@@ -263,19 +262,35 @@ def test_nn_chain_matches_naive_small_sweep():
     assert checked >= 20
 
 
-def test_nn_chain_fills_scipys_condensed_vector_row_block_by_row_block():
-    # n = 320 in d = 2 spans four row blocks of powered_row_blocks: the
-    # costs equal scipy's linkage on the full powered matrix bit for bit,
+def test_nn_chain_fills_scipys_condensed_vector_row_block_by_row_block(monkeypatch):
+    # n = 520 spans at least four row blocks of the condensed fill: the
+    # vector handed to scipy equals the full powered matrix's condensed form
+    # bit for bit under every norm, the costs equal scipy's linkage on it,
     # and on a tie-free draw the steps equal the naive loop's
-    from scipy.cluster.hierarchy import linkage
+    import scipy.cluster.hierarchy
     from scipy.spatial.distance import squareform
 
-    inst = gen_random("uniform_cube", n=320, d=2, norm=L2, seed=3)
-    assert greedy_tie_margin(inst, Problem.DIAMETER) > 1e-6
-    z = linkage(squareform(powered_matrix(inst), checks=False), method="complete")
-    chain = agglomerate_nn_chain(inst)
-    assert sorted(s.cost for s in chain.steps) == sorted(math.sqrt(h) for h in z[:, 2].tolist())
-    assert chain.steps == agglomerate(inst, Problem.DIAMETER).steps
+    n = 520
+    assert -(-(n - 1) // (engine._BLOCK_ELEMENTS // n)) >= 4
+    linkage = scipy.cluster.hierarchy.linkage
+    handed = []
+
+    def capture(y, *args, **kwargs):
+        handed.append(y.copy())
+        return linkage(y, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.cluster.hierarchy, "linkage", capture)
+    for norm in (L1, L2, LINF, Norm(1.5), Norm(3.0)):
+        inst = gen_random("uniform_cube", n=n, d=2, norm=norm, seed=8)
+        chain = agglomerate_nn_chain(inst)
+        condensed = squareform(powered_matrix(inst), checks=False)
+        assert handed.pop().tobytes() == condensed.tobytes()
+        z = linkage(condensed, method="complete")
+        assert sorted(s.cost for s in chain.steps) == sorted(
+            unpower(h, norm) for h in z[:, 2].tolist())
+        if norm == L2:
+            assert greedy_tie_margin(inst, Problem.DIAMETER) > 1e-6
+            assert chain.steps == agglomerate(inst, Problem.DIAMETER).steps
 
 
 def test_nn_chain_on_exact_ties_is_a_valid_greedy_run():
@@ -499,7 +514,7 @@ def test_lazy_radius_linkage_edge_cases_without_warnings():
     # union of at most two distinct points is their midpoint's ball
     huge = [(1e200, 0.0), (-1e200, 0.0), (0.0, 1.0)]
     dups = [(0.5, 0.25)] * 6
-    cases = [("huge", huge, L2), ("huge", huge, L1), ("huge", huge, Norm(1.5))]
+    cases = [("huge", huge, norm) for norm in (L2, L1, Norm(1.5), Norm(3.0))]
     for norm in (L1, Norm(1.5), Norm(3.0)):
         cases += [("pair", [(0.5, 0.25)] * 3 + [(-1.0, 2.0)], norm), ("dups", dups, norm)]
     cases.append(("dups", dups, L2))
@@ -540,7 +555,7 @@ def test_general_p_radius_linkage_is_lazy_and_matches_eager(monkeypatch):
 
     def memoized(members, inst):
         calls.append(tuple(members))
-        key = (id(inst), tuple(members))
+        key = (inst, tuple(members))
         if key not in memo:
             memo[key] = radius(members, inst)
         return memo[key]

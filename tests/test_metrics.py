@@ -16,6 +16,7 @@ from agglolab import (
     Norm,
     Problem,
     agglomerate,
+    agglomerate_nn_chain,
     cluster_cost,
     diameter,
     discrete_radius,
@@ -23,10 +24,11 @@ from agglolab import (
     radius,
 )
 from agglolab.forge import gen_line_1d, gen_hypercube_l1
-from agglolab import harness
+from agglolab import harness, metrics
 from agglolab.engine import tie_width
 from agglolab.harness import grid_search_enclosing_radius
 from agglolab.metrics import powered_distance, powered_matrix, unpower, unpower_array
+from agglolab.oracles import min_pairwise_distance
 
 
 def test_norm_validation():
@@ -213,15 +215,21 @@ def test_powered_matrix_matches_scalar_path():
     for i in range(3):
         for j in range(3):
             assert mat[i, j] == powered_distance(inst.points[i], inst.points[j], L2)
-    # 300 points in 3-d span several row blocks of the distance kernel
+    # 520 points span five row blocks of the distance kernel whatever d is;
+    # at 1e-160 the terms underflow, at 1e200 they overflow to inf
+    n = 520
+    assert -(-n // (metrics._BLOCK_ELEMENTS // n)) >= 4
     rng = np.random.default_rng(11)
-    pts = rng.uniform(-5.0, 5.0, size=(300, 3)).tolist()
-    for norm in (L1, L2, LINF, Norm(1.5), Norm(3.0)):
-        inst = Instance.from_points("blocks", pts, norm)
-        mat = powered_matrix(inst)
-        for i in range(0, 300, 7):
-            for j in range(300):
-                assert mat[i, j] == powered_distance(inst.points[i], inst.points[j], norm)
+    for d in (1, 2, 3, 4):
+        unit = rng.uniform(-5.0, 5.0, size=(n, d))
+        for scale in (1e-160, 1.0, 1e200):
+            pts = (unit * scale).tolist()
+            for norm in (L1, L2, LINF, Norm(1.5), Norm(3.0)):
+                inst = Instance.from_points("blocks", pts, norm)
+                mat = powered_matrix(inst)
+                for i in range(0, n, 29):
+                    for j in range(n):
+                        assert mat[i, j] == powered_distance(inst.points[i], inst.points[j], norm)
     # at d >= 8 a summed axis is added pairwise, the scalar path left to right
     pts = rng.uniform(0.0, 1.0, size=(40, 8)).tolist()
     for norm in (L1, L2):
@@ -237,17 +245,32 @@ def test_overflowing_powers_are_infinite_on_every_path():
     norm = Norm(1.5)
     inst = Instance.from_points("huge", [(0.0, 0.0), (1e300, 0.0)], norm)
     assert powered_distance(inst.points[0], inst.points[1], norm) == math.inf
-    with np.errstate(over="ignore"):
-        assert powered_matrix(inst)[0, 1] == math.inf
+    assert powered_matrix(inst)[0, 1] == math.inf
     assert diameter((0, 1), inst) == math.inf
-    # l2: the squared extent overflows, so the ball is infinite like the
-    # diameter, and radius linkage ties every pair at inf as diameter does
-    wide = Instance.from_points("wide", [(1e200, 0.0), (-1e200, 0.0), (0.0, 1.0)], L2)
-    assert radius(range(3), wide).radius == math.inf
-    with np.errstate(over="ignore"):
-        by_diameter = agglomerate(wide, Problem.DIAMETER).steps
-    assert [s.cost for s in by_diameter] == [math.inf, math.inf]
-    assert agglomerate(wide, Problem.RADIUS).steps == by_diameter
+    # l2 and lp3: the powered extent overflows, so the ball is infinite like
+    # the diameter, every linkage ties every pair at inf, and the NN-chain,
+    # which scipy would refuse, makes the naive loop's merges; under l1 and
+    # lp1.5 no power overflows.  None of it warns.
+    huge = [(1e200, 0.0), (-1e200, 0.0), (0.0, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for norm in (L2, Norm(3.0)):
+            wide = Instance.from_points("wide", huge, norm)
+            assert radius(range(3), wide).radius == math.inf
+            for problem in Problem:
+                steps = agglomerate(wide, problem).steps
+                assert [(s.id_a, s.id_b, s.cost) for s in steps] == [
+                    (0, 1, math.inf), (2, 3, math.inf)]
+            assert agglomerate_nn_chain(wide).steps == steps
+        for norm in (L1, Norm(1.5)):
+            wide = Instance.from_points("wide", huge, norm)
+            assert radius(range(3), wide).radius < math.inf
+            assert agglomerate(wide, Problem.RADIUS).steps[-1].cost < math.inf
+        # here the coordinate difference itself overflows
+        ends = [(1.7e308, 0.0), (-1.7e308, 0.0)]
+        for norm in (L1, LINF):
+            assert powered_matrix(Instance.from_points("ends", ends, norm))[0, 1] == math.inf
+            assert min_pairwise_distance(ends, norm) == math.inf
     # the bounding box's diagonal overflows here, but no squared distance does
     a = 1e154
     tilted = Instance.from_points("tilted", [(0.0, 0.0), (a, a / 2), (a / 2, a)], L2)
