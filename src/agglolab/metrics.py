@@ -12,8 +12,8 @@ non-empty subset of an instance:
 For the l2 norm the exact enclosing ball is computed with a randomized
 incremental (Welzl-style) algorithm; for l_infinity it is the per-coordinate
 midrange.  For other finite p a set of at most two distinct points has its
-midpoint as the exact center; otherwise the center is found by iterative
-convex minimization and the result is flagged approximate.
+midpoint as the exact center; otherwise one scale-free SLSQP solve gives
+the center, the result is flagged approximate, and no solver raises.
 
 Distance comparisons for l2 (and general finite p) are done on p-th powers
 internally, so ties between integer-coordinate point sets are exact; the
@@ -43,10 +43,8 @@ __all__ = [
 ]
 
 class SolverError(RuntimeError):
-    """Iterative enclosing-ball search failed to converge.
-
-    Carries the best ball found so far in ``best``.
-    """
+    """An enclosing-ball search that failed; ``best`` holds the best ball
+    it found.  No solver in the package raises it any more."""
 
     def __init__(self, message: str, best: "EnclosingBall | None" = None):
         super().__init__(message)
@@ -183,10 +181,10 @@ class BallCover:
 class EnclosingBall:
     """Result of an enclosing-ball computation.
 
-    ``approximate`` is True when the ball came from the iterative general-p
-    solver rather than an exact method: its radius is the largest distance
-    from the best center the SLSQP search reached, an upper bound on the
-    true radius with no stated tolerance.
+    ``approximate`` is True when the ball came from the general-p SLSQP
+    solve rather than an exact method: its radius is the largest distance
+    from the returned center, an upper bound on the true radius that the
+    tests check within 1e-9 relative of an exact LP (l1) or grid oracle.
     """
 
     radius: float
@@ -384,8 +382,8 @@ def radius(c, inst: Instance) -> EnclosingBall:
     Exact for l2 (randomized incremental algorithm), for l_infinity
     (per-coordinate midrange), for one-dimensional instances (midrange) and,
     under every norm, for at most two distinct points (their midpoint).
-    Other point sets under finite p fall back to iterative convex
-    minimization of ``y -> max_x ||x - y||`` and are flagged approximate.
+    Other point sets under finite p get one scale-free SLSQP solve, which
+    never raises, and are flagged approximate.
     """
     ids = _member_ids(c)
     _check_ids(ids, inst)
@@ -492,7 +490,7 @@ def _euclidean_ball(pts: list[tuple[float, ...]]) -> EnclosingBall:
     return EnclosingBall(rad, tuple(float(x) for x in center), approximate=False)
 
 
-def _iterative_ball(pts: list[tuple[float, ...]], norm: Norm, max_iter: int = 400) -> EnclosingBall:
+def _iterative_ball(pts: list[tuple[float, ...]], norm: Norm) -> EnclosingBall:
     # at most two distinct points: their midpoint is the exact center under
     # every norm, and halving each end first keeps it finite
     ends = sorted(set(pts))
@@ -505,43 +503,41 @@ def _iterative_ball(pts: list[tuple[float, ...]], norm: Norm, max_iter: int = 40
     # SLSQP cannot start from an infinite radius
     if _has_infinite_pair(arr, norm):
         return _infinite_ball(arr)
-    # Epigraph form: minimize r subject to ||x_i - y|| <= r, solved with SLSQP
-    # from a couple of starting centers; the best feasible center wins.
+    # Epigraph form, minimize s subject to sum_j |x_ij - c_j|^p <= s, in
+    # coordinates centred on the box midpoint and scaled by its largest
+    # half-span, so that SLSQP's tolerances are relative; the constraints
+    # carry their analytic Jacobian.  The solve starts at the points' mean,
+    # whose ball stands when the solver's is not lower.
     from scipy.optimize import minimize
 
-    d = arr.shape[1]
+    p = norm.p
+    lo, hi = arr.min(axis=0), arr.max(axis=0)
+    mid = lo / 2.0 + hi / 2.0
+    scale = float((hi / 2.0 - lo / 2.0).max())
+    rel = (arr - mid) / scale
 
-    def worst(center: np.ndarray) -> float:
-        return max(distance(p, center, norm) for p in arr)
+    def ball(c: np.ndarray) -> EnclosingBall:
+        # Python floats throughout: the radius is a float, and a far center
+        # overflows to inf without a warning
+        center = tuple(m + scale * x for m, x in zip(mid.tolist(), c.tolist()))
+        return EnclosingBall(max(distance(x, center, norm) for x in pts), center, approximate=True)
 
-    starts = [arr.mean(axis=0), (arr.min(axis=0) + arr.max(axis=0)) / 2.0]
-    best: EnclosingBall | None = None
-    converged = False
-    for y0 in starts:
-        z0 = np.append(y0, worst(y0) * 1.05 + 1e-9)
+    def spare(z):
+        return z[-1] - (np.abs(rel - z[:-1]) ** p).sum(axis=1)
 
-        def objective(z):
-            return z[-1]
+    def spare_jac(z):
+        diff = rel - z[:-1]
+        return np.hstack([p * np.sign(diff) * np.abs(diff) ** (p - 1.0), np.ones((len(rel), 1))])
 
-        def constraint(z):
-            y = z[:-1]
-            return np.array([z[-1] - distance(p, y, norm) for p in arr])
-
-        res = minimize(
-            objective, z0, method="SLSQP",
-            constraints=[{"type": "ineq", "fun": constraint}],
-            options={"maxiter": max_iter, "ftol": 1e-12},
-        )
-        center = res.x[:d]
-        ball = EnclosingBall(worst(center), tuple(float(x) for x in center), approximate=True)
-        if best is None or ball.radius < best.radius:
-            best = ball
-        if res.success:
-            converged = True
-    if not converged:
-        raise SolverError(
-            f"enclosing-ball search did not converge within {max_iter} iterations "
-            f"(best radius {best.radius:.9g})",
-            best=best,
-        )
-    return best
+    c0 = rel.mean(axis=0)
+    best = ball(c0)
+    res = minimize(
+        lambda z: z[-1],
+        np.append(c0, float((np.abs(rel - c0) ** p).sum(axis=1).max())),
+        jac=lambda z: np.eye(len(z))[-1],
+        method="SLSQP",
+        constraints=[{"type": "ineq", "fun": spare, "jac": spare_jac}],
+        options={"ftol": 1e-14},
+    )
+    solved = ball(res.x[:-1])
+    return solved if solved.radius < best.radius else best  # a nan never wins

@@ -26,7 +26,7 @@ from agglolab import (
 )
 from agglolab.engine import TIE_ABS_TOL, TIE_REL_TOL, tie_width
 from agglolab.forge import gen_line_1d, gen_linf_2d, gen_random
-from agglolab.metrics import SolverError, powered_matrix, unpower
+from agglolab.metrics import powered_matrix, unpower
 from agglolab.oracles import optimal_by_partition_enum, optimal_diameter_1d
 
 
@@ -547,10 +547,9 @@ def test_lazy_radius_linkage_deflates_bounds_at_the_band_edge():
 
 def test_general_p_radius_linkage_is_lazy_and_matches_eager(monkeypatch):
     # half the diameter bounds the radius under every norm, so an lp-slice
-    # run costs n - 1 balls, not the eager table's (n - 1)^2, and no run
-    # raises (its two-point balls are midpoints); the history equals the
-    # eager table's wherever that run finishes.  Balls are memoized, as the
-    # eager runs repeat them
+    # run costs n - 1 balls, not the eager table's (n - 1)^2; the history
+    # equals the eager table's.  Balls are memoized, as the eager runs
+    # repeat them
     calls, memo = [], {}
 
     def memoized(members, inst):
@@ -567,11 +566,19 @@ def test_general_p_radius_linkage_is_lazy_and_matches_eager(monkeypatch):
             del calls[:]
             agglomerate(inst, Problem.RADIUS)
             assert len(calls) == 11
-            try:
-                _eager(agglomerate, inst, Problem.RADIUS)
-            except SolverError:
-                continue
             _assert_radius_matches_eager(inst)
+
+
+def test_radius_linkage_l1_integer_draw_finishes():
+    # small integer grids: duplicates and collinear unions, where the ball
+    # of the d = 2 union [(3, 0), (0, 0), (0, 0), (1, 0)] once stopped the run
+    for d in (2, 3):
+        pts = np.random.default_rng(3).integers(0, 4, size=(9, d))
+        inst = Instance.from_points("int", pts.tolist(), L1)
+        agglomerate(inst, Problem.RADIUS).check_invariants(deep=True)
+        if d == 2:
+            assert [inst.points[i] for i in (0, 1, 4, 7)] == [(3, 0), (0, 0), (0, 0), (1, 0)]
+            assert abs(radius((0, 1, 4, 7), inst).radius - 1.5) <= tie_width(1.5)
 
 
 def test_radius_linkage_scale_pin(monkeypatch):

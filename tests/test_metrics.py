@@ -160,14 +160,72 @@ def test_radius_general_p_flagged_approximate():
     assert ball.radius == pytest.approx(1.0, abs=1e-5)
 
 
-def test_radius_solver_failure_carries_best_ball():
-    from agglolab.metrics import SolverError, _iterative_ball
+def test_radius_l1_triangle_is_a_float_flagged_approximate():
+    inst = Instance.from_points("tri", [(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)], L1)
+    ball = radius(range(3), inst)
+    assert ball.approximate
+    assert type(ball.radius) is float
+    assert abs(ball.radius - 1.0) <= tie_width(1.0)
 
-    pts = [(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)]
-    with pytest.raises(SolverError) as err:
-        _iterative_ball(pts, L1, max_iter=0)
-    assert err.value.best is not None
-    assert err.value.best.radius > 0.0
+
+def _ball_family(rng):
+    # uniform, nearly collinear, integer with duplicates and two clumps
+    for n in (3, 5, 8, 12):
+        for d in (2, 3):
+            yield rng.uniform(-1.0, 1.0, (n, d))
+            line = rng.uniform(-1.0, 1.0, (n, 1)) * rng.normal(size=d)
+            yield line + rng.uniform(-1.0, 1.0, d) + 1e-6 * rng.normal(size=(n, d))
+            grid = rng.integers(0, 4, (n, d)).astype(float)
+            yield np.vstack([grid, grid[:1]])
+            yield 0.01 * rng.normal(size=(n, d)) + 3.0 * (np.arange(n) % 2)[:, None]
+
+
+def _l1_radius_lp(pts):
+    # minimize r over (c, r) subject to s . (x - c) <= r for every point x and
+    # every sign vector s, which together say ||x - c||_1 <= r
+    from scipy.optimize import linprog
+
+    n, d = pts.shape
+    signs = np.array(np.meshgrid(*[(-1.0, 1.0)] * d)).reshape(d, -1).T
+    a_ub = np.hstack([np.tile(-signs, (n, 1)), -np.ones((n * len(signs), 1))])
+    b_ub = -(pts @ signs.T).ravel()
+    res = linprog(np.eye(d + 1)[-1], A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * (d + 1),
+                  method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def test_radius_general_p_against_independent_references():
+    # l1: the exact LP, within 1e-9 relative either way; lp1.5 and lp3: at
+    # most the grid oracle's upper bound, and at least half the diameter
+    for pts in _ball_family(np.random.default_rng(13)):
+        members = range(len(pts))
+        ball = radius(members, Instance.from_points("l1", pts.tolist(), L1))
+        ref = _l1_radius_lp(pts)
+        assert abs(ball.radius - ref) <= 1e-9 * ref
+        for norm in (Norm(1.5), Norm(3.0)):
+            inst = Instance.from_points("lp", pts.tolist(), norm)
+            ball = radius(members, inst)
+            assert ball.radius <= grid_search_enclosing_radius(pts, norm) * (1.0 + 1e-9)
+            half = diameter(members, inst) / 2.0
+            assert ball.radius >= half - tie_width(half)
+
+
+def test_radius_general_p_is_scale_free_and_reports_floats():
+    rng = np.random.default_rng(17)
+    sets = [rng.uniform(-1.0, 1.0, (int(rng.integers(3, 9)), int(rng.integers(2, 4))))
+            for _ in range(8)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pts in sets:
+            for norm in (L1, Norm(1.5), Norm(3.0)):
+                base = radius(range(len(pts)), Instance.from_points("p", pts.tolist(), norm))
+                for s in (1e-100, 1e-3, 1e3, 1e100):
+                    inst = Instance.from_points("sp", (s * pts).tolist(), norm)
+                    ball = radius(range(len(pts)), inst)
+                    assert abs(ball.radius / s - base.radius) <= 1e-9 * base.radius
+                    assert type(ball.radius) is float
+                    assert all(type(x) is float for x in ball.center)
 
 
 def test_radius_two_distinct_points_is_their_midpoint_under_every_p():
