@@ -317,12 +317,14 @@ class _RadiusCosts(_PairTable):
 
     Under every norm the radius of a union is at least half its diameter,
     and every ball ``radius()`` reports is the largest distance from some
-    center, so it is never below that either.  The entry for a merged
-    cluster A u B against C is bounded by diam(A u B u C) / 2, with the
-    diameters from the elementwise max of ``_DiameterCosts``.  Welzl's
-    ``covers`` slack (about 1e-12 relative) and rounding can put a ball a
-    few ulps below its bound, so ``settle_to`` compares bounds deflated by a
-    tie width (``_deflate``).
+    center, so it is never below that either: the l2 solver's covering
+    slack (1e-12 of the squared radius, relative because the pivoting
+    solver works in coordinates scaled to the points' bounding box) can
+    only move a center off the optimum.  Rounding can put a ball a few ulps
+    below its bound, so ``settle_to`` compares bounds deflated by a tie
+    width (``_deflate``).  The entry for a merged cluster A u B against C
+    is bounded by diam(A u B u C) / 2, with the diameters from the
+    elementwise max of ``_DiameterCosts``.
     """
 
     def __init__(self, inst: Instance, members: list[tuple[int, ...]]):

@@ -9,11 +9,13 @@ non-empty subset of an instance:
                          restricted to the subset's own points,
 * ``radius``          -- smallest enclosing ball radius with a free center.
 
-For the l2 norm the exact enclosing ball is computed with a randomized
-incremental (Welzl-style) algorithm; for l_infinity it is the per-coordinate
-midrange.  For other finite p a set of at most two distinct points has its
-midpoint as the exact center; otherwise one scale-free SLSQP solve gives
-the center, the result is flagged approximate, and no solver raises.
+Under every norm a set of at most two distinct points has its midpoint as
+the exact center; for l_infinity the ball is the per-coordinate midrange.
+For the l2 norm the exact enclosing ball is Gaertner's pivoting
+move-to-front miniball, whose covering test allows 1e-12 of the squared
+radius: relative, because it works in coordinates scaled to the points'
+bounding box.  For other finite p one scale-free SLSQP solve gives the
+center, the result is flagged approximate, and no solver raises.
 
 Distance comparisons for l2 (and general finite p) are done on p-th powers
 internally, so ties between integer-coordinate point sets are exact; the
@@ -26,7 +28,6 @@ frozen), so concurrent calls are safe.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -379,11 +380,14 @@ def discrete_radius(c, inst: Instance) -> tuple[float, int]:
 def radius(c, inst: Instance) -> EnclosingBall:
     """Minimum enclosing ball of the cluster under the instance norm.
 
-    Exact for l2 (randomized incremental algorithm), for l_infinity
-    (per-coordinate midrange), for one-dimensional instances (midrange) and,
-    under every norm, for at most two distinct points (their midpoint).
-    Other point sets under finite p get one scale-free SLSQP solve, which
-    never raises, and are flagged approximate.
+    Exact for l_infinity (per-coordinate midrange), for one-dimensional
+    instances (midrange), under every norm for at most two distinct points
+    (their midpoint), and for l2 (Gaertner's pivoting miniball, whose
+    covering slack of 1e-12 of the squared radius is relative, as it works
+    in coordinates scaled to the points' bounding box).  Other point sets
+    under finite p get one scale-free SLSQP solve, which never raises, and
+    are flagged approximate.  Every radius is the largest distance from the
+    returned center.
     """
     ids = _member_ids(c)
     _check_ids(ids, inst)
@@ -393,6 +397,19 @@ def radius(c, inst: Instance) -> EnclosingBall:
         return EnclosingBall(0.0, pts[0], approximate=False)
     if norm.is_infinity or inst.dim == 1:
         return _midrange_ball(pts)
+    # at most two distinct points: their midpoint is the exact center under
+    # every norm, and halving each end first keeps it finite
+    ends = []
+    for p in pts:
+        if p not in ends:
+            ends.append(p)
+            if len(ends) > 2:
+                break
+    if len(ends) <= 2:
+        x, y = min(ends), max(ends)
+        center = tuple(a / 2.0 + b / 2.0 for a, b in zip(x, y))
+        rad = max(distance(x, center, norm), distance(y, center, norm))
+        return EnclosingBall(rad, center, approximate=False)
     if norm.p == 2.0:
         return _euclidean_ball(pts)
     return _iterative_ball(pts, norm)
@@ -423,29 +440,6 @@ def _midrange_ball(pts: list[tuple[float, ...]]) -> EnclosingBall:
     return EnclosingBall(rad, tuple(float(x) for x in center), approximate=False)
 
 
-def _circumball(boundary: list[np.ndarray]) -> tuple[np.ndarray | None, float]:
-    """Smallest ball with all boundary points on its surface.
-
-    Returns (center, squared radius); (None, -inf) for an empty boundary so
-    that every point tests outside it.
-    """
-    if not boundary:
-        return None, -math.inf
-    if len(boundary) == 1:
-        return boundary[0], 0.0
-    base = boundary[0]
-    rows = np.array([q - base for q in boundary[1:]], dtype=float)
-    rhs = 0.5 * np.array([float(r @ r) for r in rows])
-    gram = rows @ rows.T
-    try:
-        lam = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        lam, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    center = base + rows.T @ lam
-    r2 = max(float((q - center) @ (q - center)) for q in boundary)
-    return center, r2
-
-
 def _has_infinite_pair(arr: np.ndarray, norm: Norm) -> bool:
     """Whether the powered distance of some pair of rows overflows to inf."""
     return any(block.max() == math.inf for _, block in powered_row_blocks(arr, norm))
@@ -456,49 +450,125 @@ def _infinite_ball(arr: np.ndarray) -> EnclosingBall:
     return EnclosingBall(math.inf, tuple((arr.min(axis=0) / 2 + arr.max(axis=0) / 2).tolist()))
 
 
+def _circumcenter(boundary: list[list[float]]) -> tuple[list[float], float]:
+    """Center and squared radius of the smallest ball with every boundary
+    point (at least two) on its sphere, in Python floats.
+
+    The center is ``q0 + sum_j lam_j (q_j - q0)``, where ``lam`` solves the
+    Gram system ``(q_j - q0) . (q_k - q0) lam_k = |q_j - q0|^2 / 2``: in
+    closed form for two and three points, by elimination with partial
+    pivoting for more.  A singular system takes its least-squares solution.
+    """
+    base = boundary[0]
+    if len(boundary) == 2:
+        center = [a / 2.0 + b / 2.0 for a, b in zip(base, boundary[1])]
+        return center, max(math.dist(q, center) ** 2 for q in boundary)
+    rows = [[a - b for a, b in zip(q, base)] for q in boundary[1:]]
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
+    rhs = [g[j] / 2.0 for j, g in enumerate(gram)]
+    m = len(rows)
+    lam = None
+    if m == 2:
+        (uu, uv), (_, vv) = gram
+        det = uu * vv - uv * uv
+        if det > 0.0:
+            lam = [vv * (uu - uv) / (2.0 * det), uu * (vv - uv) / (2.0 * det)]
+    else:
+        a, b = [g[:] for g in gram], rhs[:]
+        for k in range(m):
+            p = max(range(k, m), key=lambda i: abs(a[i][k]))
+            if a[p][k] == 0.0:
+                break
+            a[k], a[p], b[k], b[p] = a[p], a[k], b[p], b[k]
+            for i in range(k + 1, m):
+                f = a[i][k] / a[k][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+                b[i] -= f * b[k]
+        else:
+            lam = [0.0] * m
+            for k in reversed(range(m)):
+                lam[k] = (b[k] - sum(a[k][j] * lam[j] for j in range(k + 1, m))) / a[k][k]
+    if lam is None:
+        lam = np.linalg.lstsq(np.array(gram), np.array(rhs), rcond=None)[0].tolist()
+    center = [c + sum(x * r[j] for x, r in zip(lam, rows)) for j, c in enumerate(base)]
+    return center, max(math.dist(q, center) ** 2 for q in boundary)
+
+
 def _euclidean_ball(pts: list[tuple[float, ...]]) -> EnclosingBall:
+    """Exact l2 enclosing ball of at least three distinct points: Gaertner's
+    pivoting move-to-front miniball ("Fast and robust smallest enclosing
+    balls", ESA 1999).
+
+    A pivot pass finds the point farthest from the current center, the
+    first one on a tie.  If it lies outside the ball by more than the
+    covering slack, it joins the front of a small support list, and
+    move-to-front Welzl over that list, with the pivot held on the sphere,
+    gives the next ball; otherwise the ball is final.  A point joins the
+    list at most once, so the loop ends.  The slack is 1e-12 of the squared
+    radius, relative because the work is done in coordinates centred on the
+    bounding-box midpoint and divided by the largest span, where every
+    input scale looks the same (unscaled, a Gram determinant of points near
+    1e-100 underflows to 0).  The radius is the largest distance from the
+    returned center in the original coordinates.
+    """
     d = len(pts[0])
     arr = np.asarray(pts, dtype=float)
     # no squared distance can overflow while every coordinate is within
     # 1e150 (and d < 4e7)
     if float(np.abs(arr).max()) > 1e150 and _has_infinite_pair(arr, L2):
         return _infinite_ball(arr)
-    order = [np.asarray(p, dtype=float) for p in pts]
-    random.Random(0x5EED).shuffle(order)  # fixed seed: result is deterministic
+    lo, hi = arr.min(axis=0), arr.max(axis=0)
+    mid = lo / 2.0 + hi / 2.0
+    # the whole span, as half of a subnormal span can round to 0; no pair
+    # overflows, so no span does
+    scale = float((hi - lo).max())
+    rel = ((arr - mid) / scale).T.copy()
+    slack = 1.0 + 1e-12
 
-    def covers(center, r2, q) -> bool:
-        if center is None:
-            return False
-        diff = q - center
-        return float(diff @ diff) <= r2 * (1.0 + 1e-12)
-
-    def solve(end: int, boundary: list[np.ndarray]) -> tuple[np.ndarray | None, float]:
-        center, r2 = _circumball(boundary)
-        if len(boundary) == d + 1:
-            return center, r2
-        for i in range(end):
-            if not covers(center, r2, order[i]):
-                center, r2 = solve(i, boundary + [order[i]])
-        return center, r2
-
-    center, _ = solve(len(order), [])
-    # the recursive closure refers to itself: drop it, so that the shuffled
-    # points go now and not at the next cyclic collection
-    solve = None
-    diffs = arr - center
-    rad = math.sqrt(float((diffs * diffs).sum(axis=1).max()))
-    return EnclosingBall(rad, tuple(float(x) for x in center), approximate=False)
+    center, r2 = rel[:, 0].tolist(), 0.0
+    support, chosen = [center], {0}
+    while True:
+        dist2 = _powered_norms((col - c for col, c in zip(rel, center)), L2)
+        k = int(dist2.argmax())
+        if dist2[k] <= r2 * slack or k in chosen:
+            break
+        chosen.add(k)
+        pivot = rel[:, k].tolist()
+        # move-to-front Welzl over the support list with the pivot on the
+        # sphere, its recursion unrolled: level t, with boundary[:t + 1] on
+        # the sphere, scans support[:ends[t]] from idx[t]; a point outside
+        # the ball opens level t + 1 over the points before it, and moves
+        # to the front of the list when that level ends
+        boundary = [pivot]
+        center, r2 = pivot, 0.0
+        ends, idx = [len(support)], [0]
+        while True:
+            i = idx[-1]
+            if i < ends[-1] and len(boundary) <= d:
+                q = support[i]
+                if math.dist(q, center) ** 2 <= r2 * slack:
+                    idx[-1] = i + 1
+                else:
+                    boundary.append(q)
+                    ends.append(i)
+                    idx.append(0)
+                    center, r2 = _circumcenter(boundary)
+                continue
+            ends.pop()
+            idx.pop()
+            if not ends:
+                break
+            boundary.pop()
+            j = idx[-1]
+            support.insert(0, support.pop(j))
+            idx[-1] = j + 1
+        support.insert(0, pivot)
+    out = (mid + scale * np.asarray(center)).tolist()
+    rad = math.sqrt(float(_powered_norms((col - c for col, c in zip(arr.T, out)), L2).max()))
+    return EnclosingBall(rad, tuple(out), approximate=False)
 
 
 def _iterative_ball(pts: list[tuple[float, ...]], norm: Norm) -> EnclosingBall:
-    # at most two distinct points: their midpoint is the exact center under
-    # every norm, and halving each end first keeps it finite
-    ends = sorted(set(pts))
-    if len(ends) <= 2:
-        x, y = ends[0], ends[-1]
-        center = tuple(a / 2.0 + b / 2.0 for a, b in zip(x, y))
-        rad = max(distance(x, center, norm), distance(y, center, norm))
-        return EnclosingBall(rad, center, approximate=False)
     arr = np.asarray(pts, dtype=float)
     # SLSQP cannot start from an infinite radius
     if _has_infinite_pair(arr, norm):

@@ -37,6 +37,7 @@ from .engine import tie_width
 from .metrics import (
     BallCover,
     Cluster,
+    EnclosingBall,
     Instance,
     Norm,
     L2,
@@ -112,11 +113,16 @@ def _sorted_clusters(blocks: Sequence[Sequence[int]]) -> tuple[Cluster, ...]:
 
 def _farthest_first(dpow: np.ndarray, count: int) -> tuple[list[int], np.ndarray]:
     """The first ``count`` farthest-first picks from point 0 (Gonzalez 1985),
-    and each point's powered distance to its nearest pick."""
+    and each point's powered distance to its nearest pick.  The picks are
+    distinct: once every point lies on a pick, the next is the first point
+    not picked yet."""
     order = [0]
     nearest = dpow[0].copy()
+    free = np.ones(len(dpow), dtype=bool)
+    free[0] = False
     for _ in range(count - 1):
-        order.append(int(nearest.argmax()))
+        order.append(int(np.where(free, nearest, -1.0).argmax()))
+        free[order[-1]] = False
         nearest = np.minimum(nearest, dpow[order[-1]])
     return order, nearest
 
@@ -150,19 +156,30 @@ def optimal_by_partition_enum(
     blocks: list[list[int]] = []
     block_diam_pow: list[float] = []
 
-    # exact radius or discrete radius of a block, by its sorted member ids
+    # exact discrete radius of a block, and the enclosing ball of a block
+    # under RADIUS, by its sorted member ids
     memo: dict[tuple[int, ...], float] = {}
+    balls: dict[tuple[int, ...], EnclosingBall] = {}
 
     def exact_cost(ids: tuple[int, ...]) -> float:
         val = memo.get(ids)
         if val is None:
-            if problem is Problem.RADIUS:
-                val = radius(ids, inst).radius
-            else:
-                sub = dpow[np.ix_(ids, ids)]
-                val = unpower(float(sub.max(axis=1).min()), norm)
-            memo[ids] = val
+            sub = dpow[np.ix_(ids, ids)]
+            val = memo[ids] = unpower(float(sub.max(axis=1).min()), norm)
         return val
+
+    def ball_radius(block: list[int], p: int) -> float:
+        ids = tuple(sorted(block + [p]))
+        ball = balls.get(ids)
+        if ball is None:
+            # a point inside the exact ball of a block leaves it the
+            # smallest ball of the union; an approximate ball may not be
+            ball = balls.get(tuple(sorted(block)))
+            if (ball is None or ball.approximate
+                    or distance(inst.points[p], ball.center, norm) > ball.radius):
+                ball = radius(ids, inst)
+            balls[ids] = ball
+        return ball.radius
 
     incumbent = math.inf if upper_bound is None else upper_bound + tie_width(upper_bound)
     best_blocks: list[tuple[int, ...]] | None = None
@@ -180,7 +197,7 @@ def optimal_by_partition_enum(
             half = unpower(new_diam, norm) / 2.0
             if half >= incumbent:  # cheap monotone bound, skip the solver
                 return new_diam, half
-            return new_diam, exact_cost(tuple(sorted(blocks[bi] + [p])))
+            return new_diam, ball_radius(blocks[bi], p)
         # discrete radius: not monotone under insertion, so prune on the
         # half-diameter lower bound and evaluate exactly at leaves only
         return new_diam, unpower(new_diam, norm) / 2.0
@@ -318,7 +335,7 @@ def optimal_discrete_kcenter(inst: Instance, k: int) -> OracleResult:
             lo = mid + 1
         else:
             hi, centers = mid, found
-    chosen = set(centers)  # the traversal repeats a point once every point is covered
+    chosen = set(centers)  # a cover may need fewer than k centers
     centers = sorted(chosen.union([p for p in range(n) if p not in chosen][:k - len(chosen)]))
     assignment = dpow[:, centers].argmin(axis=1)
     for slot, c in enumerate(centers):

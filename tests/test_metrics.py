@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -458,6 +459,83 @@ def test_euclidean_ball_is_exact_at_small_scales(scale):
     ball = radius(range(4), Instance.from_points("small", pts, L2))
     assert not ball.approximate
     assert ball.radius == pytest.approx(2.5 * scale, rel=1e-12, abs=0.0)
+
+
+def _brute_force_l2_radius(pts):
+    # the smallest circumball, over all subsets of at most d + 1 points, that
+    # covers every point: each subset's circumcenter is scored by its largest
+    # distance to any point, which is its circumradius when it covers them
+    # and more otherwise, so no covering tolerance is needed
+    n, d = pts.shape
+    best = math.inf
+    for size in range(1, min(n, d + 1) + 1):
+        for sub in itertools.combinations(range(n), size):
+            base, rows = pts[sub[0]], pts[list(sub[1:])] - pts[sub[0]]
+            try:
+                lam = np.linalg.solve(rows @ rows.T, (rows * rows).sum(axis=1) / 2.0)
+            except np.linalg.LinAlgError:
+                continue
+            center = base + lam @ rows
+            best = min(best, math.sqrt(float(((pts - center) ** 2).sum(axis=1).max())))
+    return best
+
+
+@st.composite
+def _l2_ball_sets(draw):
+    # uniform, integer grids with a duplicate, regular polygons in a random
+    # plane (cocircular), points on a sphere (cospherical) and near-collinear
+    # sets, at unit scale
+    d, n = draw(st.integers(2, 5)), draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["uniform", "grid", "polygon", "sphere", "line"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "uniform":
+        return rng.uniform(-1.0, 1.0, (n, d))
+    if kind == "grid":
+        pts = rng.integers(0, 3, (n, d)).astype(float)
+        pts[-1] = pts[0]
+        return pts
+    if kind == "polygon":
+        plane, _ = np.linalg.qr(rng.normal(size=(d, 2)))
+        angles = 2.0 * math.pi * np.arange(n) / n
+        return np.column_stack([np.cos(angles), np.sin(angles)]) @ plane.T
+    if kind == "sphere":
+        pts = rng.normal(size=(n, d))
+        return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    line = rng.uniform(-1.0, 1.0, (n, 1)) * rng.normal(size=d)
+    return line + 1e-6 * rng.normal(size=(n, d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_l2_ball_sets(), st.sampled_from([1e-150, 1.0, 1e150]))
+def test_euclidean_ball_matches_brute_force_reference(pts, scale):
+    ref = scale * _brute_force_l2_radius(pts)
+    points = (scale * pts).tolist()
+    ball = radius(range(len(points)), Instance.from_points("ball", points, L2))
+    assert abs(ball.radius - ref) <= 1e-12 * ref
+    assert ball.radius == max(distance(p, ball.center, L2) for p in points)
+    assert ball.approximate is False
+
+
+def test_euclidean_ball_makes_few_pivot_passes_and_solves(monkeypatch):
+    # a regression guard on the work, counted, not timed: 8 kernel calls (7
+    # pivot passes and the final radius) and 28 boundary solves here, where
+    # the recursive Welzl it replaced made 3664 solves
+    kernel, solves = [], []
+
+    def counted(real, calls):
+        def wrapper(*args):
+            calls.append(1)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(metrics, "_powered_norms", counted(metrics._powered_norms, kernel))
+    monkeypatch.setattr(metrics, "_circumcenter", counted(metrics._circumcenter, solves))
+    pts = np.random.default_rng(1).uniform(-1.0, 1.0, (4096, 3))
+    ball = radius(range(4096), Instance.from_points("big", pts.tolist(), L2))
+    assert len(kernel) <= 16
+    assert len(solves) <= 64
+    assert not ball.approximate
+
 
 # ---------------------------------------------------------------------------
 # the grid enclosing-ball oracle against its reference

@@ -30,6 +30,7 @@ from agglolab import (
 )
 from agglolab.forge import gen_hypercube_l1, gen_l2_3d, gen_linf_2d, gen_line_1d, gen_random
 from agglolab import oracles
+from agglolab.engine import tie_width
 from agglolab.metrics import powered_matrix, powered_row_blocks, unpower, unpower_array
 
 
@@ -97,7 +98,7 @@ def test_partition_enum_over_tight_hint_returns_the_hint_free_optimum():
 
 def test_partition_enum_and_ball_leave_no_reference_cycle():
     # with the cyclic collector off, an oracle call must free its memo on
-    # return, and an l2 ball call its shuffled points
+    # return, and an l2 ball call its support list
     inst = gen_random("uniform_cube", n=10, d=2, norm=L2, seed=1)
     radius(range(6), inst)
     gc.collect()
@@ -110,6 +111,49 @@ def test_partition_enum_and_ball_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _k_partitions(items, k):
+    # every partition of items into exactly k non-empty blocks
+    if len(items) == k:
+        yield [[x] for x in items]
+        return
+    if k == 1:
+        yield [list(items)]
+        return
+    first, rest = items[0], items[1:]
+    for part in _k_partitions(rest, k - 1):
+        yield [[first]] + part
+    for part in _k_partitions(rest, k):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def test_partition_enum_radius_reuses_balls_and_matches_brute_force(monkeypatch):
+    # a point inside the exact ball of its block reuses that ball; the
+    # optimum still equals the best k-partition costed block by block, and
+    # the witness, a partition of all the points, recosts to it.  Integer
+    # grids have duplicates, which always fall inside a ball, and once made
+    # the farthest-first order repeat a point and drop others
+    calls = []
+    monkeypatch.setattr(oracles, "radius", lambda ids, inst: calls.append(ids) or radius(ids, inst))
+    rng = np.random.default_rng(8)
+    for norm in (L2, LINF, L1):
+        for _ in range(4):
+            for pts in (rng.uniform(-1.0, 1.0, (8, 2)), rng.integers(0, 3, (8, 2)).astype(float)):
+                inst = Instance.from_points("enum", pts.tolist(), norm)
+                cost = {b: radius(b, inst).radius
+                        for size in range(1, 8) for b in combinations(range(8), size)}
+                for k in (2, 3):
+                    best = min(max(cost[tuple(sorted(b))] for b in part)
+                               for part in _k_partitions(list(range(8)), k))
+                    del calls[:]
+                    res = optimal_by_partition_enum(inst, k, Problem.RADIUS)
+                    assert len(set(calls)) == len(calls)
+                    assert abs(res.opt_cost - best) <= tie_width(best)
+                    assert sorted(m for c in res.partition for m in c.members) == list(range(8))
+                    recost = max(cost[c.members] for c in res.partition)
+                    assert abs(recost - res.opt_cost) <= tie_width(recost)
 
 
 def test_partition_enum_witness_recosts_to_optimum():
