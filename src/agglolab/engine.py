@@ -212,7 +212,13 @@ class _PairTable:
     keeps the lower slot, costs it against every other live slot and fills
     the upper slot with inf.  Dead slots and the diagonal hold inf, so
     ``rowmin[i] == m[i].min()`` for every slot and a step's best cost is
-    ``rowmin.min()``.  Subclasses cost a merged cluster's row in ``_row``.
+    ``rowmin.min()``.
+
+    Subclasses cost a merged cluster's row in ``_row(lo, hi)``, called with
+    both slots already dead: a full length-n row, with inf at every dead
+    slot, at ``lo`` and at ``hi``.  A merge is then a few whole-row passes
+    with no index lists, as inf never changes a minimum and never passes a
+    finite tie band.
     """
 
     def __init__(self, pair_costs: np.ndarray):
@@ -234,24 +240,21 @@ class _PairTable:
     def merge(self, lo: int, hi: int) -> None:
         """Merge slot ``hi`` into slot ``lo`` and cost ``lo`` against every
         other live slot."""
-        m, rowmin = self.m, self.rowmin
-        self.live[[lo, hi]] = False
-        others = np.flatnonzero(self.live)
-        row = self._row(lo, hi, others)
-        # a row whose minimum was its entry to lo or hi is rescanned; any
-        # other row keeps its minimum unless the new entry is smaller
-        old = rowmin[others]
-        stale = others[(m[others, lo] == old) | (m[others, hi] == old)]
-        m[hi, :] = math.inf
-        m[:, hi] = math.inf
+        m, rowmin, live = self.m, self.rowmin, self.live
+        live[lo] = live[hi] = False
+        # a row whose minimum was its entry to lo or hi is rescanned (the
+        # table is symmetric, so column lo is row lo); any other row keeps
+        # its minimum unless the new entry is smaller
+        stale = (np.minimum(m[lo], m[hi]) == rowmin) & live
+        row = self._row(lo, hi)
+        m[hi] = m[:, hi] = math.inf
         rowmin[hi] = math.inf
-        m[lo, others] = row
-        m[others, lo] = row
-        rowmin[others] = np.minimum(old, row)
+        m[lo] = m[:, lo] = row
+        np.minimum(rowmin, row, out=rowmin)
         rowmin[lo] = row.min()
-        if stale.size:
+        if stale.any():
             rowmin[stale] = m[stale].min(axis=1)
-        self.live[lo] = True
+        live[lo] = True
 
 
 class _DiameterCosts(_PairTable):
@@ -268,9 +271,11 @@ class _DiameterCosts(_PairTable):
     underflows for x below about 1e-154.)
     """
 
-    def _row(self, lo: int, hi: int, others: np.ndarray) -> np.ndarray:
+    def _row(self, lo: int, hi: int) -> np.ndarray:
+        # dead slots and the diagonal hold inf, and so does their max
         m = self.m
-        return np.maximum(np.maximum(m[lo, others], m[hi, others]), m[lo, hi])
+        row = np.maximum(m[lo], m[hi])
+        return np.maximum(row, m[lo, hi], out=row)
 
 
 class _EccentricityCosts(_PairTable):
@@ -291,12 +296,15 @@ class _EccentricityCosts(_PairTable):
         self.member = np.eye(len(dpow), dtype=bool)
         super().__init__(unpower_array(dpow, inst.norm))
 
-    def _row(self, lo: int, hi: int, others: np.ndarray) -> np.ndarray:
+    def _row(self, lo: int, hi: int) -> np.ndarray:
         self.ecc[lo] = np.maximum(self.ecc[lo], self.ecc[hi])
         self.member[lo] |= self.member[hi]
+        others = np.flatnonzero(self.live)
         ecc = np.maximum(self.ecc[others], self.ecc[lo])
         ecc[~(self.member[others] | self.member[lo])] = math.inf
-        return unpower_array(ecc.min(axis=1), self.norm)
+        row = np.full(len(self.live), math.inf)
+        row[others] = unpower_array(ecc.min(axis=1), self.norm)
+        return row
 
 
 def _deflate(bounds: np.ndarray) -> np.ndarray:
@@ -313,7 +321,8 @@ class _RadiusCosts(_PairTable):
     as a lower bound and is costed exactly, on its union, only once a pick
     can see it: ``exact`` marks the entries that hold ``radius()`` of the
     union (the diagonal and dead slots count as exact, as nothing costs
-    them).  ``members`` lists the members of the cluster at each slot.
+    them).  ``members`` lists the members of the cluster at each slot, in
+    no particular order.
 
     Under every norm the radius of a union is at least half its diameter,
     and every ball ``radius()`` reports is the largest distance from some
@@ -362,13 +371,15 @@ class _RadiusCosts(_PairTable):
             self.rowmin[[lo, hi]] = self.m[[lo, hi]].min(axis=1)
         return float(self.m[lo, hi])
 
-    def _row(self, lo: int, hi: int, others: np.ndarray) -> np.ndarray:
-        self.exact[hi, :] = self.exact[:, hi] = True
-        self.exact[lo, others] = self.exact[others, lo] = False
-        d = self.diam
-        diam = np.maximum(np.maximum(d[lo, others], d[hi, others]), d[lo, hi])
-        d[lo, others] = d[others, lo] = diam
-        return diam / 2.0
+    def _row(self, lo: int, hi: int) -> np.ndarray:
+        # diam is read only at live pairs, so its dead slots may hold anything
+        live, d = self.live, self.diam
+        self.exact[hi] = self.exact[:, hi] = True
+        self.exact[lo] = self.exact[:, lo] = ~live
+        diam = np.maximum(d[lo], d[hi])
+        np.maximum(diam, d[lo, hi], out=diam)
+        d[lo] = d[:, lo] = diam
+        return np.where(live, diam / 2.0, math.inf)
 
 
 def _make_backend(inst: Instance, linkage: Problem, members: list[tuple[int, ...]]) -> _PairTable:
@@ -444,10 +455,15 @@ def _greedy(
             # the least tied slot pair (lo, hi) in row-major order: the
             # table is symmetric, so a row's tied partners are in-band rows
             # too, and lo is the first in-band row and hi its first in-band
-            # column; the inf entries of dead slots pass only an infinite band
-            rows = (rowmin <= band) & live
-            lo = int(np.argmax(rows))
-            hi = lo + 1 + int(np.argmax((m[lo, lo + 1:] <= band) & live[lo + 1:]))
+            # column.  The inf entries of dead slots pass only an infinite
+            # band, and there every pair passes: the pick is the first two
+            # live slots, and no entry lies above the band
+            rows = rowmin <= band
+            if band < math.inf:
+                lo = int(np.argmax(rows))
+                hi = lo + 1 + int(np.argmax(m[lo, lo + 1:] <= band))
+            else:
+                lo, hi = np.flatnonzero(live)[:2].tolist()
             cost = float(m[lo, hi])
             if margins is not None:
                 # the smallest entry above the band is a row minimum, or an
@@ -464,7 +480,7 @@ def _greedy(
 
         a, b = sorted((slot_id[lo], slot_id[hi]))
         new_id = n + t
-        members[lo] = tuple(sorted(members[lo] + members[hi]))
+        members[lo] += members[hi]
         steps.append(MergeStep(a, b, cost, new_id, len(members[lo])))
         slot_id[lo] = new_id
         del id_slot[a], id_slot[b]

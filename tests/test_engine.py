@@ -308,6 +308,66 @@ def test_nn_chain_on_exact_ties_is_a_valid_greedy_run():
             assert len(costs) == len(inst) - 1
 
 
+def test_pair_table_invariants_hold_after_every_merge(monkeypatch):
+    # after every merge of every backend the table is symmetric, holds inf
+    # on the diagonal and at dead slots, keeps each row's minimum, and marks
+    # live exactly the slots of the level's clusters: their member minima.
+    # Integer grids tie across many rows, duplicates tie at 0, and points
+    # 1e200 apart overflow, so every entry of an infinite band is inf
+    merge = engine._PairTable.merge
+    live_after, backends = [], set()
+
+    def checked(table, lo, hi):
+        assert lo < hi and table.live[lo] and table.live[hi]
+        merge(table, lo, hi)
+        m, live = table.m, table.live
+        assert np.array_equal(m, m.T)
+        assert (np.diag(m) == math.inf).all()
+        assert (m[~live] == math.inf).all() and (m[:, ~live] == math.inf).all()
+        assert np.array_equal(table.rowmin, m.min(axis=1))
+        live_after.append(np.flatnonzero(live).tolist())
+        backends.add(type(table))
+
+    def assert_levels(hist):
+        n = len(hist.instance)
+        assert live_after == [[c.min_member for c in hist.clusters_at_k(n - 1 - t)]
+                              for t in range(len(live_after))]
+        del live_after[:]
+
+    monkeypatch.setattr(engine._PairTable, "merge", checked)
+    grid = [(float(x), float(y)) for x in range(4) for y in range(3)]
+    cases = [
+        ("grid", grid),
+        ("ties", np.random.default_rng(11).integers(0, 3, size=(10, 2)).astype(float).tolist()),
+        ("dups", [(0.5, 0.25)] * 4 + [(1.0, 2.0), (1.0, 2.0), (-1.0, 0.0)]),
+        ("huge", [(1e200, 0.0), (-1e200, 0.0), (0.0, 1.0)]),
+        ("allinf", [(1e200, 0.0), (-1e200, 0.0), (0.0, 1e200), (0.0, -1e200), (3e200, 1e200)]),
+    ]
+    for name, pts in cases:
+        for norm in (L2, LINF, Norm(1.5)):
+            inst = Instance.from_points(name, pts, norm)
+            n = len(inst)
+            for problem in Problem:
+                free = agglomerate(inst, problem)
+                assert_levels(free)
+                greedy_tie_margin(inst, problem)
+                assert_levels(free)
+                # a replayed prefix, then the last two live ids where they
+                # tie, which moves later clusters off the lexicographic slots
+                j = n // 2
+                prefix = tuple((s.id_a, s.id_b) for s in free.steps[:j])
+                live = sorted(set(range(n + j)) - {i for s in free.steps[:j] for i in s[:2]})
+                for script, stop_at_k in ((prefix, 2), (prefix + (tuple(live[-2:]),), 1)):
+                    try:
+                        hist = agglomerate(inst, problem, script=MergeScript(script),
+                                           stop_at_k=stop_at_k)
+                    except ScriptViolationError:
+                        del live_after[:]
+                        continue
+                    assert_levels(hist)
+    assert backends == {engine._DiameterCosts, engine._EccentricityCosts, engine._RadiusCosts}
+
+
 def _reference_greedy(inst, problem):
     """Brute-force greedy run: each step costs every live pair with the
     scalar ``cluster_cost``, lists the pairs within the tie band and merges
@@ -353,8 +413,11 @@ class _RecomputeCosts(engine._PairTable):
     def _cost(self, a, b):
         return engine.radius(sorted(self.members[a] + self.members[b]), self.inst).radius
 
-    def _row(self, lo, hi, others):
-        return np.array([self._cost(c, lo) for c in others.tolist()])
+    def _row(self, lo, hi):
+        row = np.full(len(self.live), math.inf)
+        for c in np.flatnonzero(self.live).tolist():
+            row[c] = self._cost(c, lo)
+        return row
 
 
 _lazy_backend = engine._make_backend
@@ -531,10 +594,10 @@ def test_lazy_radius_linkage_edge_cases_without_warnings():
 
 
 def test_lazy_radius_linkage_deflates_bounds_at_the_band_edge():
-    # Welzl's ball for points 0 and 1 is one ulp below half their distance,
-    # its bound, and the ball of points 2 and 3 puts the end of its tie band
-    # on that ball exactly: the pairs tie, and (0, 1) goes first only if
-    # its bound is deflated enough to be costed
+    # the ball of points 0 and 1, centred on their midpoint, is one ulp
+    # below half their distance, its bound, and the ball of points 2 and 3
+    # puts the end of its tie band on that ball exactly: the pairs tie, and
+    # (0, 1) goes first only if its bound is deflated enough to be costed
     a, b = (0.781, 0.228), (0.175, 0.571)
     inst = Instance.from_points("edge", [a, b, (0.0, 5.0), (0.6963368430797195, 5.0)], L2)
     ball = radius((0, 1), inst).radius
