@@ -56,10 +56,11 @@ from .metrics import (
     LINF,
     Norm,
     Problem,
+    _epigraph_center,
+    _has_infinite_pair,
     cluster_cost,
     diameter,
     distance,
-    powered_row_blocks,
     radius,
 )
 from .oracles import (
@@ -157,7 +158,7 @@ def evaluate(
         opt, kind = float(opt_hint), "exact" if opt_hint_exact else "upper-bound"
     else:
         opt, kind = algo, "upper-bound"
-    if algo == 0.0 and opt == 0.0:
+    if algo == opt:  # 0 / 0 and inf / inf included
         ratio = 1.0
     elif opt == 0.0:
         ratio = math.inf
@@ -201,12 +202,11 @@ def evaluate_case(case: GeneratedCase, problem: Problem | None = None) -> RatioR
 # independent enclosing-ball oracle (grid refinement)
 
 
+_GRID_TOL = 1e-7  # the value error the lattice rounds push below
+
+
 @np.errstate(over="ignore")
-def grid_search_enclosing_radius(
-    points: Sequence[Sequence[float]],
-    norm: Norm = L2,
-    tol: float = 1e-7,
-) -> float:
+def grid_search_enclosing_radius(points: Sequence[Sequence[float]], norm: Norm = L2) -> float:
     """Enclosing-ball radius by iteratively refined center grid search.
 
     Independent of the incremental/analytic solvers: evaluates
@@ -216,12 +216,13 @@ def grid_search_enclosing_radius(
     norm, that sublevel box always contains the true center, even along
     nearly flat valley directions (two-point support balls), where the box
     shrinks only like the square root of the slack; later rounds raise the
-    per-axis resolution to push the value error below ``tol``.  For
-    1 <= p < inf one SQP step on the epigraph form, in coordinates scaled by
-    the grid's value, polishes the best center, and its value is taken when
-    it is lower; under l-inf the box midpoint is an exact center.  Every
-    value is a largest distance from some center, so the result never lies
-    below the true radius.
+    per-axis resolution to push the value error below ``_GRID_TOL``.  For
+    1 <= p < inf the general-p ball's SLSQP step
+    (:func:`~agglolab.metrics._epigraph_center`), from the best lattice
+    center in coordinates scaled by its value, polishes that center, and its
+    value is taken when it is lower; under l-inf the box midpoint is an
+    exact center.  Every value is recomputed as a largest distance from some
+    center, so the result never lies below the true radius.
 
     The lattice is evaluated one point at a time over the d coordinate
     columns of the candidates: a point's powered terms are added left to
@@ -237,7 +238,7 @@ def grid_search_enclosing_radius(
     bad = ~np.isfinite(arr).all(axis=1)
     if bad.any():
         raise ValueError(f"point {int(bad.argmax())} has a non-finite coordinate")
-    if any(np.isinf(block).any() for _, block in powered_row_blocks(arr, norm)):
+    if _has_infinite_pair(arr, norm):
         return math.inf
     lo = arr.min(axis=0).astype(float)
     hi = arr.max(axis=0).astype(float)
@@ -284,10 +285,10 @@ def grid_search_enclosing_radius(
     zero = (0.0,) * d
     for resolution in [14] * 8 + [40] * 4:
         width = hi - lo
-        wmax = float(width.max())
-        if wmax <= 0.0:
+        # a subnormal width can divide to 0
+        ref = float(width.max()) / resolution
+        if ref <= 0.0:
             break
-        ref = wmax / resolution
         counts = [int(min(81, max(4, math.ceil(w / ref)))) + 1 for w in width]
         axes = [np.linspace(lo[i], hi[i], counts[i]) for i in range(d)]
         cols = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
@@ -304,39 +305,18 @@ def grid_search_enclosing_radius(
         keep[idx] = True  # the only one kept when an earlier round did better
         lo = np.maximum(lo, np.array([col[keep].min() for col in cols]) - cell)
         hi = np.minimum(hi, np.array([col[keep].max() for col in cols]) + cell)
-        if slack <= tol / 2.0:
+        if slack <= _GRID_TOL / 2.0:
             break
 
     # The box shrink stalls along nearly flat valley directions (balls
-    # supported by few points), so polish the best grid center by SQP on the
-    # epigraph form, minimize s subject to sum_j |x_ij - c_j|^p <= s, in
-    # coordinates centred on the grid's point and scaled by its value, which
-    # makes the solver's tolerances relative (under l1 the gradient is the
-    # sign; under l-inf the box midpoint, evaluated first, is exact).  A
-    # lower recomputed value is always safe to take: it is the largest
-    # distance from some center, so it never lies below the radius.
+    # supported by few points), so polish the best grid center, in
+    # coordinates centred on it and scaled by its value (under l1 the
+    # gradient is the sign; under l-inf the box midpoint, evaluated first,
+    # is exact).  A lower recomputed value is always safe to take: it is the
+    # largest distance from some center, so it never lies below the radius.
     if p < math.inf and best > 0.0:
-        from scipy.optimize import minimize
-
-        rel = (arr - best_center) / best
-
-        def spare(z):
-            return z[-1] - (np.abs(rel - z[:-1]) ** p).sum(axis=1)
-
-        def spare_jac(z):
-            diff = rel - z[:-1]
-            return np.hstack([p * np.sign(diff) * np.abs(diff) ** (p - 1.0),
-                              np.ones((len(rel), 1))])
-
-        res = minimize(
-            lambda z: z[-1],
-            np.append(np.zeros(d), float((np.abs(rel) ** p).sum(axis=1).max())),
-            jac=lambda z: np.eye(d + 1)[-1],
-            method="SLSQP",
-            constraints=[{"type": "ineq", "fun": spare, "jac": spare_jac}],
-            options={"maxiter": 100, "ftol": 1e-15},
-        )
-        polished = worst_at(best_center + best * res.x[:d])
+        step = _epigraph_center((arr - best_center) / best, p, np.zeros(d), 1e-15)
+        polished = worst_at(best_center + best * step)
         if polished < best:  # False for a nan
             best = polished
     return best

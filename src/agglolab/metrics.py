@@ -10,12 +10,16 @@ non-empty subset of an instance:
 * ``radius``          -- smallest enclosing ball radius with a free center.
 
 Under every norm a set of at most two distinct points has its midpoint as
-the exact center; for l_infinity the ball is the per-coordinate midrange.
-For the l2 norm the exact enclosing ball is Gaertner's pivoting
-move-to-front miniball, whose covering test allows 1e-12 of the squared
-radius: relative, because it works in coordinates scaled to the points'
-bounding box.  For other finite p one scale-free SLSQP solve gives the
-center, the result is flagged approximate, and no solver raises.
+the exact center; for l_infinity and in dimension 1 the ball is the
+per-coordinate midrange.  For the l2 norm the exact enclosing ball is
+Gaertner's pivoting move-to-front miniball, whose covering test allows
+1e-12 of the squared radius: relative, because it works in coordinates
+scaled to the points' bounding box.  For other finite p one scale-free
+SLSQP solve gives the center, the result is flagged approximate, and no
+solver raises.  The l2, general-p and two-point radii are the largest
+distance from the returned center; the midrange radius is half the largest
+span, as the greedy engine's l_infinity table gives it, and the largest
+distance from the midrange center can differ from it in the last bit.
 
 Distance comparisons for l2 (and general finite p) are done on p-th powers
 internally, so ties between integer-coordinate point sets are exact; the
@@ -380,14 +384,20 @@ def discrete_radius(c, inst: Instance) -> tuple[float, int]:
 def radius(c, inst: Instance) -> EnclosingBall:
     """Minimum enclosing ball of the cluster under the instance norm.
 
-    Exact for l_infinity (per-coordinate midrange), for one-dimensional
-    instances (midrange), under every norm for at most two distinct points
-    (their midpoint), and for l2 (Gaertner's pivoting miniball, whose
+    The bounding box ``lo, hi`` and its midpoint ``lo / 2 + hi / 2`` (each
+    end halved first, so it stays finite) are worked out once.  The
+    midpoint is the exact center for l_infinity and for one-dimensional
+    instances, where the ball is an axis box whose radius is half the
+    largest span, and under every norm for at most two distinct points.  A
+    set with a pair whose powered distance overflows (as
+    :func:`powered_distance` gives it) has an infinite ball about the
+    midpoint.  Otherwise l2 gets Gaertner's pivoting miniball, whose
     covering slack of 1e-12 of the squared radius is relative, as it works
-    in coordinates scaled to the points' bounding box).  Other point sets
-    under finite p get one scale-free SLSQP solve, which never raises, and
-    are flagged approximate.  Every radius is the largest distance from the
-    returned center.
+    in coordinates scaled to the box, and other finite p get one scale-free
+    SLSQP solve, which never raises, and are flagged approximate.  The l2,
+    general-p and two-point radii are the largest distance from the
+    returned center; the midrange radius is half the largest span, and the
+    largest distance from its center can differ from that in the last bit.
     """
     ids = _member_ids(c)
     _check_ids(ids, inst)
@@ -395,10 +405,15 @@ def radius(c, inst: Instance) -> EnclosingBall:
     norm = inst.norm
     if len(pts) == 1:
         return EnclosingBall(0.0, pts[0], approximate=False)
+    arr = np.asarray(pts, dtype=float)
+    # Python floats: a span that overflows is inf without a warning
+    lo, hi = arr.min(axis=0).tolist(), arr.max(axis=0).tolist()
+    mid = tuple(a / 2.0 + b / 2.0 for a, b in zip(lo, hi))
+    span = max(b - a for a, b in zip(lo, hi))
     if norm.is_infinity or inst.dim == 1:
-        return _midrange_ball(pts)
-    # at most two distinct points: their midpoint is the exact center under
-    # every norm, and halving each end first keeps it finite
+        # an axis box: each coordinate centers independently
+        return EnclosingBall(span / 2.0, mid, approximate=False)
+    # at most two distinct points: the midpoint is exact under every norm
     ends = []
     for p in pts:
         if p not in ends:
@@ -406,13 +421,16 @@ def radius(c, inst: Instance) -> EnclosingBall:
             if len(ends) > 2:
                 break
     if len(ends) <= 2:
-        x, y = min(ends), max(ends)
-        center = tuple(a / 2.0 + b / 2.0 for a, b in zip(x, y))
-        rad = max(distance(x, center, norm), distance(y, center, norm))
-        return EnclosingBall(rad, center, approximate=False)
+        return EnclosingBall(max(distance(p, mid, norm) for p in ends), mid, approximate=False)
+    # no squared distance can overflow while every coordinate is within
+    # 1e150 (and d < 4e7); SLSQP cannot start from an infinite radius
+    if ((norm.p != 2.0 or max(hi) > 1e150 or min(lo) < -1e150)
+            and _has_infinite_pair(arr, norm)):
+        return EnclosingBall(math.inf, mid, approximate=False)
     if norm.p == 2.0:
-        return _euclidean_ball(pts)
-    return _iterative_ball(pts, norm)
+        # the whole span, as half of a subnormal span can round to 0
+        return _euclidean_ball(arr, mid, span)
+    return _iterative_ball(arr, mid, max(b / 2.0 - a / 2.0 for a, b in zip(lo, hi)), norm)
 
 
 def cluster_cost(problem: Problem, c, inst: Instance) -> float:
@@ -430,24 +448,36 @@ def cluster_cost(problem: Problem, c, inst: Instance) -> float:
 # enclosing-ball solvers
 
 
-def _midrange_ball(pts: list[tuple[float, ...]]) -> EnclosingBall:
-    # Exact for linf in any dimension, and for any norm in dimension 1:
-    # the ball is an axis box, so each coordinate centers independently.
-    arr = np.asarray(pts, dtype=float)
-    lo, hi = arr.min(axis=0), arr.max(axis=0)
-    center = (lo + hi) / 2.0
-    rad = float((hi - lo).max() / 2.0)
-    return EnclosingBall(rad, tuple(float(x) for x in center), approximate=False)
-
-
 def _has_infinite_pair(arr: np.ndarray, norm: Norm) -> bool:
     """Whether the powered distance of some pair of rows overflows to inf."""
     return any(block.max() == math.inf for _, block in powered_row_blocks(arr, norm))
 
 
-def _infinite_ball(arr: np.ndarray) -> EnclosingBall:
-    # the ball of a set whose powered diameter is inf, as in powered_distance
-    return EnclosingBall(math.inf, tuple((arr.min(axis=0) / 2 + arr.max(axis=0) / 2).tolist()))
+def _epigraph_center(rel: np.ndarray, p: float, c0: np.ndarray, ftol: float) -> np.ndarray:
+    """One SLSQP solve of the enclosing ball's epigraph form, minimize s
+    subject to sum_j |x_ij - c_j|^p <= s over the rows x_i of ``rel``,
+    from the center ``c0``; the constraints carry their analytic Jacobian.
+    ``rel`` should be scaled to about unit size, as SLSQP's ``ftol`` is
+    absolute.  Returns the solver's center, which a caller keeps only when
+    its largest distance is lower than its start's (it can be nan)."""
+    from scipy.optimize import minimize
+
+    def spare(z):
+        return z[-1] - (np.abs(rel - z[:-1]) ** p).sum(axis=1)
+
+    def spare_jac(z):
+        diff = rel - z[:-1]
+        return np.hstack([p * np.sign(diff) * np.abs(diff) ** (p - 1.0), np.ones((len(rel), 1))])
+
+    res = minimize(
+        lambda z: z[-1],
+        np.append(c0, float((np.abs(rel - c0) ** p).sum(axis=1).max())),
+        jac=lambda z: np.eye(len(z))[-1],
+        method="SLSQP",
+        constraints=[{"type": "ineq", "fun": spare, "jac": spare_jac}],
+        options={"ftol": ftol},
+    )
+    return res.x[:-1]
 
 
 def _circumcenter(boundary: list[list[float]]) -> tuple[list[float], float]:
@@ -494,10 +524,11 @@ def _circumcenter(boundary: list[list[float]]) -> tuple[list[float], float]:
     return center, max(math.dist(q, center) ** 2 for q in boundary)
 
 
-def _euclidean_ball(pts: list[tuple[float, ...]]) -> EnclosingBall:
-    """Exact l2 enclosing ball of at least three distinct points: Gaertner's
-    pivoting move-to-front miniball ("Fast and robust smallest enclosing
-    balls", ESA 1999).
+def _euclidean_ball(arr: np.ndarray, mid: tuple[float, ...], scale: float) -> EnclosingBall:
+    """Exact l2 enclosing ball of the rows of ``arr``, at least three
+    distinct points with no infinite pair: Gaertner's pivoting
+    move-to-front miniball ("Fast and robust smallest enclosing balls",
+    ESA 1999).
 
     A pivot pass finds the point farthest from the current center, the
     first one on a tie.  If it lies outside the ball by more than the
@@ -506,22 +537,12 @@ def _euclidean_ball(pts: list[tuple[float, ...]]) -> EnclosingBall:
     gives the next ball; otherwise the ball is final.  A point joins the
     list at most once, so the loop ends.  The slack is 1e-12 of the squared
     radius, relative because the work is done in coordinates centred on the
-    bounding-box midpoint and divided by the largest span, where every
-    input scale looks the same (unscaled, a Gram determinant of points near
-    1e-100 underflows to 0).  The radius is the largest distance from the
-    returned center in the original coordinates.
+    bounding-box midpoint ``mid`` and divided by the largest span
+    ``scale``, where every input scale looks the same (unscaled, a Gram
+    determinant of points near 1e-100 underflows to 0).  The radius is the
+    largest distance from the returned center in the original coordinates.
     """
-    d = len(pts[0])
-    arr = np.asarray(pts, dtype=float)
-    # no squared distance can overflow while every coordinate is within
-    # 1e150 (and d < 4e7)
-    if float(np.abs(arr).max()) > 1e150 and _has_infinite_pair(arr, L2):
-        return _infinite_ball(arr)
-    lo, hi = arr.min(axis=0), arr.max(axis=0)
-    mid = lo / 2.0 + hi / 2.0
-    # the whole span, as half of a subnormal span can round to 0; no pair
-    # overflows, so no span does
-    scale = float((hi - lo).max())
+    d = arr.shape[1]
     rel = ((arr - mid) / scale).T.copy()
     slack = 1.0 + 1e-12
 
@@ -568,46 +589,24 @@ def _euclidean_ball(pts: list[tuple[float, ...]]) -> EnclosingBall:
     return EnclosingBall(rad, tuple(out), approximate=False)
 
 
-def _iterative_ball(pts: list[tuple[float, ...]], norm: Norm) -> EnclosingBall:
-    arr = np.asarray(pts, dtype=float)
-    # SLSQP cannot start from an infinite radius
-    if _has_infinite_pair(arr, norm):
-        return _infinite_ball(arr)
-    # Epigraph form, minimize s subject to sum_j |x_ij - c_j|^p <= s, in
-    # coordinates centred on the box midpoint and scaled by its largest
-    # half-span, so that SLSQP's tolerances are relative; the constraints
-    # carry their analytic Jacobian.  The solve starts at the points' mean,
-    # whose ball stands when the solver's is not lower.
-    from scipy.optimize import minimize
-
-    p = norm.p
-    lo, hi = arr.min(axis=0), arr.max(axis=0)
-    mid = lo / 2.0 + hi / 2.0
-    scale = float((hi / 2.0 - lo / 2.0).max())
+def _iterative_ball(
+    arr: np.ndarray, mid: tuple[float, ...], scale: float, norm: Norm
+) -> EnclosingBall:
+    """General-p ball of the rows of ``arr``, at least three distinct points
+    with no infinite pair, by one :func:`_epigraph_center` solve in
+    coordinates centred on the box midpoint ``mid`` and divided by the
+    largest half-span ``scale``.  The solve starts at the points' mean,
+    whose ball stands when the solver's is not lower."""
+    pts = arr.tolist()
     rel = (arr - mid) / scale
 
     def ball(c: np.ndarray) -> EnclosingBall:
         # Python floats throughout: the radius is a float, and a far center
         # overflows to inf without a warning
-        center = tuple(m + scale * x for m, x in zip(mid.tolist(), c.tolist()))
+        center = tuple(m + scale * x for m, x in zip(mid, c.tolist()))
         return EnclosingBall(max(distance(x, center, norm) for x in pts), center, approximate=True)
-
-    def spare(z):
-        return z[-1] - (np.abs(rel - z[:-1]) ** p).sum(axis=1)
-
-    def spare_jac(z):
-        diff = rel - z[:-1]
-        return np.hstack([p * np.sign(diff) * np.abs(diff) ** (p - 1.0), np.ones((len(rel), 1))])
 
     c0 = rel.mean(axis=0)
     best = ball(c0)
-    res = minimize(
-        lambda z: z[-1],
-        np.append(c0, float((np.abs(rel - c0) ** p).sum(axis=1).max())),
-        jac=lambda z: np.eye(len(z))[-1],
-        method="SLSQP",
-        constraints=[{"type": "ineq", "fun": spare, "jac": spare_jac}],
-        options={"ftol": 1e-14},
-    )
-    solved = ball(res.x[:-1])
+    solved = ball(_epigraph_center(rel, norm.p, c0, 1e-14))
     return solved if solved.radius < best.radius else best  # a nan never wins

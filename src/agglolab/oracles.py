@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +41,7 @@ from .metrics import (
     Instance,
     Norm,
     L2,
+    LINF,
     Problem,
     _powered_norms,
     distance,
@@ -148,6 +149,12 @@ def optimal_by_partition_enum(
             f"partition enumeration capped at n <= {PARTITION_ENUM_MAX_N}, got {n}"
         )
 
+    midrange = problem is Problem.RADIUS and (inst.norm.is_infinity or inst.dim == 1)
+    if midrange:
+        # the ball is the midrange box, whose radius is exactly half the
+        # block's l_inf diameter, as the greedy engine costs it; no finite
+        # span overflows there, while a 1-d square can
+        inst = replace(inst, norm=LINF)
     dpow = powered_matrix(inst)
     norm = inst.norm
     order, _ = _farthest_first(dpow, n)  # spread-out prefixes prune early
@@ -195,12 +202,15 @@ def optimal_by_partition_enum(
             return new_diam, unpower(new_diam, norm)
         if problem is Problem.RADIUS:
             half = unpower(new_diam, norm) / 2.0
-            if half >= incumbent:  # cheap monotone bound, skip the solver
+            # the midrange radius itself, or else a cheap monotone bound
+            # that skips the solver
+            if midrange or half >= incumbent:
                 return new_diam, half
             return new_diam, ball_radius(blocks[bi], p)
         # discrete radius: not monotone under insertion, so prune on the
-        # half-diameter lower bound and evaluate exactly at leaves only
-        return new_diam, unpower(new_diam, norm) / 2.0
+        # half-diameter lower bound and evaluate exactly at leaves only; an
+        # overflowed diameter bounds nothing, as the radius can be finite
+        return new_diam, unpower(new_diam, norm) / 2.0 if new_diam < math.inf else 0.0
 
     def dfs(i: int, running: float) -> None:
         nonlocal incumbent, best_blocks
@@ -244,8 +254,11 @@ def optimal_by_partition_enum(
     # now and not at the next cyclic collection
     dfs = None
     if best_blocks is None:
-        # over-tight hint: every k-partition costs more
-        return optimal_by_partition_enum(inst, k, problem, upper_bound=None)
+        if upper_bound is not None:
+            # over-tight hint: every k-partition costs more
+            return optimal_by_partition_enum(inst, k, problem)
+        # every k-partition costs inf, so any one is a witness
+        best_blocks = [tuple(range(n - k + 1))] + [(i,) for i in range(n - k + 1, n)]
     return OracleResult(
         problem=problem,
         k=k,

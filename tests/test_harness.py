@@ -5,6 +5,7 @@ import math
 import pytest
 
 from agglolab import (
+    Instance,
     L1,
     L2,
     LINF,
@@ -125,6 +126,17 @@ def test_cli_generate_run_oracle(tmp_path, capsys):
     assert main(["oracle", "--instance", str(path), "--problem", "diameter",
                  "--k", "4"]) == 0
     assert "opt=1" in capsys.readouterr().out
+
+
+def test_evaluate_and_cli_oracle_when_every_k_partition_costs_inf(tmp_path, capsys):
+    inst = Instance.from_points("all-inf", [(1e200, 0.0), (-1e200, 0.0), (0.0, 1.0)], L2)
+    rep = evaluate(inst, Problem.DIAMETER, 2)
+    assert (rep.algo_cost, rep.opt_cost, rep.ratio) == (math.inf, math.inf, 1.0)
+    assert rep.opt_kind == "exact"
+    path = tmp_path / "all-inf.json"
+    write_instance(inst, path)
+    assert main(["oracle", "--instance", str(path), "--problem", "diameter", "--k", "2"]) == 0
+    assert "opt=inf" in capsys.readouterr().out
 
 
 def test_cli_run_script_missing(tmp_path):

@@ -337,6 +337,24 @@ def test_overflowing_powers_are_infinite_on_every_path():
     assert diam / 2 <= radius(range(3), tilted).radius < diam
 
 
+@pytest.mark.parametrize("points, norm", [
+    ([(1.5e308,), (1.6e308,), (1.55e308,)], L2),
+    ([(1.5e308, 1.0), (1.6e308, 0.0), (1.55e308, 2.0), (1.52e308, 3.0)], LINF),
+])
+def test_midrange_ball_near_the_largest_float(points, norm):
+    # lo + hi overflows here; lo / 2 + hi / 2 is the correctly rounded
+    # midpoint, so it covers every point to the last bit of its coordinates,
+    # and the radius stays half the largest span
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ball = radius(range(len(points)), Instance.from_points("far", points, norm))
+    assert all(math.isfinite(c) for c in ball.center)
+    for p in points:
+        for x, c in zip(p, ball.center):
+            assert abs(x - c) <= ball.radius + math.ulp(c) / 2
+    assert ball.radius == max(max(col) - min(col) for col in zip(*points)) / 2
+
+
 def test_unpower_array_matches_scalar_root():
     rng = np.random.default_rng(12)
     values = np.concatenate([rng.uniform(0.0, 50.0, 20000), [0.0, 1.0, 1e-300]])
@@ -637,8 +655,8 @@ def _reference_grid_search(
 def test_grid_search_matches_reference_on_crosscheck_draws(seed, monkeypatch):
     calls = []
 
-    def record(points, norm=L2, tol=1e-7):
-        value = grid_search_enclosing_radius(points, norm, tol)
+    def record(points, norm=L2):
+        value = grid_search_enclosing_radius(points, norm)
         calls.append((points, norm, value))
         return value
 
@@ -727,6 +745,13 @@ def test_grid_search_overflow_is_infinite_without_warnings():
         # every pairwise distance is finite here, though some grid values are not
         finite = [(0.0, 0.0), (1e154, 5e153), (5e153, 1e154)]
         assert grid_search_enclosing_radius(finite, L2) == 5.892556509887897e153
+
+
+def test_grid_search_stops_on_a_subnormal_box():
+    # a width of 5e-324 divides to a lattice step of 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert 0.0 <= grid_search_enclosing_radius([(0.0, 0.0), (0.0, 5e-324)], L2) <= 5e-324
 
 
 def _l1_enclosing_radius(points):

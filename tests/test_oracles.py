@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -256,6 +257,46 @@ def test_discrete_kcenter_overflow_is_infinite():
         assert len(res.partition) == k
         assert sorted(m for c in res.partition for m in c.members) == [0, 1, 2, 3]
         assert optimal_discrete_kcenter(inst, 3).opt_cost == 3.0
+
+
+_ALL_INF = Instance.from_points("all-inf", _OVERFLOW[:3], L2)  # every pair is inf apart
+
+
+@pytest.mark.parametrize("problem", list(Problem))
+@pytest.mark.parametrize("k", [1, 2])
+def test_partition_enum_when_every_k_partition_costs_inf(problem, k):
+    for hint in (None, math.inf):
+        res = optimal_by_partition_enum(_ALL_INF, k, problem, upper_bound=hint)
+        assert res.opt_cost == math.inf
+        assert len(res.partition) == k
+        assert sorted(m for c in res.partition for m in c.members) == [0, 1, 2]
+    if problem is not Problem.DISCRETE_RADIUS:  # routed to the center search
+        assert best_oracle(_ALL_INF, problem, k).opt_cost == math.inf
+
+
+def test_partition_enum_radius_in_one_dimension_past_an_overflowed_square():
+    # the squared span overflows, but the 1-d ball is the midrange, as the
+    # greedy run costs it: 5e199 at k = 2 and 1e200 at k = 1
+    inst = _line("wide", [1e200, -1e200, 0.0])
+    for k, want in ((2, 5e199), (1, 1e200)):
+        assert optimal_by_partition_enum(inst, k, Problem.RADIUS).opt_cost == want
+        assert best_oracle(inst, Problem.RADIUS, k).opt_cost == want
+
+
+def test_partition_enum_discrete_radius_past_an_overflowed_diameter():
+    # the diameter's square overflows, the middle point's distances do not
+    inst = _line("wide", [1.2e154, -1.2e154, 0.0])
+    assert discrete_radius(range(3), inst) == (1.2e154, 2)
+    assert optimal_by_partition_enum(inst, 1, Problem.DISCRETE_RADIUS).opt_cost == 1.2e154
+
+
+def test_partition_enum_radius_near_the_largest_float_raises_no_warning():
+    points = [(1.5e308, 1.0), (1.6e308, 0.0), (1.55e308, 2.0), (1.52e308, 3.0)]
+    inst = Instance.from_points("far", points, LINF)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = optimal_by_partition_enum(inst, 2, Problem.RADIUS)
+    assert res.opt_cost == max(radius(c, inst).radius for c in res.partition)
 
 
 def test_every_oracle_reports_a_python_float():
