@@ -36,9 +36,10 @@ from .bounds import bound_value, render_bound
 from .engine import (
     MergeHistory,
     MergeScript,
+    _greedy,
     agglomerate,
     agglomerate_nn_chain,
-    greedy_tie_margin,
+    greedy_tie_margin,  # not called here; perfbench traces it under this module name
     tie_width,
 )
 from .forge import (
@@ -224,13 +225,21 @@ def grid_search_enclosing_radius(points: Sequence[Sequence[float]], norm: Norm =
     exact center.  Every value is recomputed as a largest distance from some
     center, so the result never lies below the true radius.
 
-    The lattice is evaluated one point at a time over the d coordinate
-    columns of the candidates: a point's powered terms are added left to
-    right, a running maximum is kept over the points, and the p-th root is
-    taken once, after the maximum.  So the memory is a few arrays of one
-    value per candidate, whatever the number of points.  The result is
-    infinite, at once, when some pairwise distance overflows (as
-    :func:`~agglolab.metrics.powered_distance` gives it).
+    The lattice is the product of d ``linspace`` axes, so a lattice point's
+    j-th powered term depends only on its j-th axis value: each round
+    tabulates the terms once per axis, a (points x axis values) table.  The
+    lattice is then evaluated one point at a time: a point's d terms are
+    added left to right (under l-inf, their maximum is taken), each partial
+    result broadcast over one more axis, a running maximum is kept over the
+    points, and the p-th root is taken once, after the maximum.  So the
+    memory is a few arrays of one value per lattice point, plus the tables,
+    whatever the number of points; nothing holds one value per point and
+    lattice point.  The result is infinite, at once, when some pairwise
+    distance overflows (as :func:`~agglolab.metrics.powered_distance` gives
+    it), except in one dimension, where every lp distance is ``|x - y|``:
+    there such an overflow switches the lattice to l-inf, and the result is
+    infinite only when the span overflows, as in
+    :func:`~agglolab.metrics.radius`.
     """
     arr = np.asarray(points, dtype=float)
     if arr.ndim == 1:
@@ -238,11 +247,15 @@ def grid_search_enclosing_radius(points: Sequence[Sequence[float]], norm: Norm =
     bad = ~np.isfinite(arr).all(axis=1)
     if bad.any():
         raise ValueError(f"point {int(bad.argmax())} has a non-finite coordinate")
+    d = arr.shape[1]
     if _has_infinite_pair(arr, norm):
-        return math.inf
+        # in one dimension every lp distance is |x - y|: the value is
+        # infinite only when the span is
+        if d > 1 or _has_infinite_pair(arr, LINF):
+            return math.inf
+        norm = LINF
     lo = arr.min(axis=0).astype(float)
     hi = arr.max(axis=0).astype(float)
-    d = arr.shape[1]
     p = norm.p
 
     def terms(c: np.ndarray, x) -> np.ndarray:
@@ -261,14 +274,18 @@ def grid_search_enclosing_radius(points: Sequence[Sequence[float]], norm: Norm =
 
     combine = np.maximum if math.isinf(p) else np.add
 
-    def worst(cols: list[np.ndarray]) -> np.ndarray:
-        # largest distance from each candidate, given as d coordinate columns
-        top = None
-        for x in arr:
-            acc = terms(cols[0], x[0])
-            for col, xj in zip(cols[1:], x[1:]):
-                combine(acc, terms(col, xj), out=acc)
-            top = acc if top is None else np.maximum(top, acc, out=top)
+    def worst(tables: list[np.ndarray]) -> np.ndarray:
+        # largest distance from each lattice point, given the per-axis term
+        # tables: a point's terms are combined left to right, each partial
+        # result broadcast over one more axis of the lattice
+        shape = tuple(t.shape[1] for t in tables)
+        bufs = [np.empty(shape[:j + 1]) for j in range(1, d)]
+        top = np.full(shape, -math.inf)
+        for i in range(len(arr)):
+            acc = tables[0][i]
+            for t, buf in zip(tables[1:], bufs):
+                acc = combine(acc[..., None], t[i], out=buf)
+            np.maximum(top, acc, out=top)
         return root(top)
 
     def worst_at(center: np.ndarray) -> float:
@@ -291,20 +308,22 @@ def grid_search_enclosing_radius(points: Sequence[Sequence[float]], norm: Norm =
             break
         counts = [int(min(81, max(4, math.ceil(w / ref)))) + 1 for w in width]
         axes = [np.linspace(lo[i], hi[i], counts[i]) for i in range(d)]
-        cols = [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
-        vals = worst(cols)
-        idx = int(vals.argmin())
+        # a lattice point's j-th term depends only on its j-th axis value
+        vals = worst([terms(axis[None, :], arr[:, j, None]) for j, axis in enumerate(axes)])
+        idx = np.unravel_index(int(vals.argmin()), vals.shape)
         if float(vals[idx]) < best:
             best = float(vals[idx])
-            best_center = np.array([col[idx] for col in cols])
+            best_center = np.array([axis[i] for axis, i in zip(axes, idx)])
         cell = np.array([axes[i][1] - axes[i][0] if counts[i] > 1 else 0.0 for i in range(d)])
         slack = distance(tuple(cell / 2.0), zero, norm)
         # tiny inflation keeps boundary-equal grid values selected despite
         # rounding; a larger selection stays certified
         keep = vals <= best + slack * (1.0 + 1e-9) + 1e-15
         keep[idx] = True  # the only one kept when an earlier round did better
-        lo = np.maximum(lo, np.array([col[keep].min() for col in cols]) - cell)
-        hi = np.minimum(hi, np.array([col[keep].max() for col in cols]) + cell)
+        kept = [axis[keep.any(axis=tuple(a for a in range(d) if a != j))]
+                for j, axis in enumerate(axes)]
+        lo = np.maximum(lo, np.array([k.min() for k in kept]) - cell)
+        hi = np.minimum(hi, np.array([k.max() for k in kept]) + cell)
         if slack <= _GRID_TOL / 2.0:
             break
 
@@ -570,11 +589,14 @@ def _suite_engine_equivalence(seed: int) -> SuiteResult:
         n = int(rng.integers(8, 65))
         d = int(rng.integers(1, 4))
         inst = gen_random("uniform_cube", n=n, d=d, norm=L2, seed=seed + 7000 + attempts)
-        if greedy_tie_margin(inst, Problem.DIAMETER) <= 1e-7:
+        # one naive run gives both the tie margin and the history
+        margins: list[float] = []
+        steps = _greedy(inst, Problem.DIAMETER, None, None, margins=margins)
+        if min(margins, default=math.inf) <= 1e-7:
             skipped += 1
             continue
         qualified += 1
-        naive = agglomerate(inst, Problem.DIAMETER)
+        naive = MergeHistory(instance=inst, linkage=Problem.DIAMETER, steps=tuple(steps))
         naive.check_invariants(deep=True)
         chain = agglomerate_nn_chain(inst)
         if naive.steps != chain.steps:

@@ -430,7 +430,8 @@ def radius(c, inst: Instance) -> EnclosingBall:
     if norm.p == 2.0:
         # the whole span, as half of a subnormal span can round to 0
         return _euclidean_ball(arr, mid, span)
-    return _iterative_ball(arr, mid, max(b / 2.0 - a / 2.0 for a, b in zip(lo, hi)), norm)
+    half = max(b / 2.0 - a / 2.0 for a, b in zip(lo, hi))
+    return _iterative_ball(arr, mid, half if half > 0.0 else span, norm)
 
 
 def cluster_cost(problem: Problem, c, inst: Instance) -> float:
@@ -594,9 +595,10 @@ def _iterative_ball(
 ) -> EnclosingBall:
     """General-p ball of the rows of ``arr``, at least three distinct points
     with no infinite pair, by one :func:`_epigraph_center` solve in
-    coordinates centred on the box midpoint ``mid`` and divided by the
-    largest half-span ``scale``.  The solve starts at the points' mean,
-    whose ball stands when the solver's is not lower."""
+    coordinates centred on the box midpoint ``mid`` and divided by
+    ``scale``: the largest half-span, or the whole span when that half
+    rounds to 0.  The solve starts at the points' mean, whose ball stands
+    when the solver's is not lower."""
     pts = arr.tolist()
     rel = (arr - mid) / scale
 

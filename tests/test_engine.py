@@ -262,6 +262,22 @@ def test_nn_chain_matches_naive_small_sweep():
     assert checked >= 20
 
 
+@pytest.mark.parametrize("problem", list(Problem))
+def test_one_pass_with_margins_gives_the_history_and_the_tie_margin(problem):
+    # the engine-equivalence suite takes both from one naive pass
+    cases = [gen_random("uniform_cube", n=8 + 3 * s, d=1 + s % 3, norm=L2, seed=70 + s)
+             for s in range(6)]
+    grid = [(float(x), float(y)) for x in range(4) for y in range(3)]
+    ints = np.random.default_rng(5).integers(0, 3, size=(12, 2)).astype(float).tolist()
+    cases += [Instance.from_points(name, pts, norm)
+              for name, pts in (("grid", grid), ("ints", ints)) for norm in (L1, L2, LINF)]
+    for inst in cases:
+        margins = []
+        steps = engine._greedy(inst, problem, None, None, margins=margins)
+        assert tuple(steps) == agglomerate(inst, problem).steps
+        assert min(margins, default=math.inf) == greedy_tie_margin(inst, problem)
+
+
 def test_nn_chain_fills_scipys_condensed_vector_row_block_by_row_block(monkeypatch):
     # n = 520 spans at least four row blocks of the condensed fill: the
     # vector handed to scipy equals the full powered matrix's condensed form

@@ -235,3 +235,10 @@ def test_cli_generate_coverable_bad_radius_is_a_usage_error(tmp_path, capsys):
                      "--out", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: coverable family")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("seed, skipped", [(1, 0), (10001, 0), (34, 1)])
+def test_engine_equivalence_draws_skips_and_qualifies_the_same_instances(seed, skipped):
+    check = verify_suite("engine-equivalence", seed).checks[0]
+    assert check.name == "nn-chain-vs-naive" and check.passed
+    assert check.detail == f"50 tie-free instances identical ({skipped} tied draws skipped)"

@@ -355,6 +355,21 @@ def test_midrange_ball_near_the_largest_float(points, norm):
     assert ball.radius == max(max(col) - min(col) for col in zip(*points)) / 2
 
 
+@pytest.mark.parametrize("norm", [Norm(1.5), Norm(3.0)])
+@pytest.mark.parametrize("points", [
+    [(0.0, 0.0), (5e-324, 0.0), (0.0, 5e-324)],
+    [(0.0, 5e-324), (5e-324, 5e-324), (5e-324, 0.0)],
+])
+def test_general_p_ball_of_a_subnormal_box(points, norm):
+    # half of each span rounds to 0, so the solve scales by the whole span
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ball = radius(range(3), Instance.from_points("tiny", points, norm))
+    assert ball.approximate
+    assert math.isfinite(ball.radius)
+    assert ball.radius == max(distance(p, ball.center, norm) for p in points)
+
+
 def test_unpower_array_matches_scalar_root():
     rng = np.random.default_rng(12)
     values = np.concatenate([rng.uniform(0.0, 50.0, 20000), [0.0, 1.0, 1e-300]])
@@ -752,6 +767,37 @@ def test_grid_search_stops_on_a_subnormal_box():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert 0.0 <= grid_search_enclosing_radius([(0.0, 0.0), (0.0, 5e-324)], L2) <= 5e-324
+
+
+@pytest.mark.parametrize("norm", [L2, Norm(3.0)])
+@pytest.mark.parametrize("points", [[1.5e308, 1.6e308, 1.55e308], [-1e200, 1e200, 0.0]])
+def test_grid_search_one_dimension_past_an_overflowed_power(points, norm):
+    # a powered distance overflows, but in one dimension the value is half
+    # the span, which is finite, as radius() gives it
+    want = radius(range(3), Instance.from_points("line", [(x,) for x in points], norm)).radius
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = grid_search_enclosing_radius(points, norm)
+        assert grid_search_enclosing_radius([-1e308, 1e308, 0.0], norm) == math.inf
+    assert want == (max(points) - min(points)) / 2.0
+    assert want * (1.0 - 1e-15) <= got <= want * (1.0 + 1e-7)
+
+
+def test_grid_search_memory_stays_near_one_lattice():
+    # the lattice is evaluated one point at a time from per-axis term
+    # tables; the largest lattice here has 41 x 41 x 17 points, and one
+    # array of every point's value at every lattice point would take 46 MB
+    import tracemalloc
+
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, (200, 3)).tolist()
+    grid_search_enclosing_radius(points[:3], L2)  # imports the polish's solver untraced
+    tracemalloc.start()
+    try:
+        grid_search_enclosing_radius(points, L2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def _l1_enclosing_radius(points):
