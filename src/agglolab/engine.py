@@ -17,7 +17,9 @@ the diameter of its union, a lower bound under every norm, until a step's
 tie band can reach it, and each step first settles the table, costing
 exactly every entry that the pick, the tie order, a script or the tie
 margin could see.  Every recorded cost is the cost function's value on the
-union, never a bound.
+union, never a bound.  Beside each row's minimum the lazy table keeps each
+row's least bound (``pend``), so a settle with nothing due reads one vector
+and a settle with work scans only the rows it costs.
 
 Costs along a run never decrease: the cost of each level equals the cost of
 the cluster created last, and the cost of any available union bounds the
@@ -245,15 +247,18 @@ class _PairTable:
         # a row whose minimum was its entry to lo or hi is rescanned (the
         # table is symmetric, so column lo is row lo); any other row keeps
         # its minimum unless the new entry is smaller
-        stale = (np.minimum(m[lo], m[hi]) == rowmin) & live
+        stale = np.minimum(m[lo], m[hi]) == rowmin
+        stale &= live
         row = self._row(lo, hi)
         m[hi] = m[:, hi] = math.inf
         rowmin[hi] = math.inf
         m[lo] = m[:, lo] = row
         np.minimum(rowmin, row, out=rowmin)
-        rowmin[lo] = row.min()
-        if stale.any():
-            rowmin[stale] = m[stale].min(axis=1)
+        rowmin[lo] = row[row.argmin()]
+        # few rows go stale, and one argmin each costs less than a gather
+        for i in stale.nonzero()[0].tolist():
+            row = m[i]
+            rowmin[i] = row[row.argmin()]
         live[lo] = True
 
 
@@ -297,13 +302,14 @@ class _EccentricityCosts(_PairTable):
         super().__init__(unpower_array(dpow, inst.norm))
 
     def _row(self, lo: int, hi: int) -> np.ndarray:
-        self.ecc[lo] = np.maximum(self.ecc[lo], self.ecc[hi])
-        self.member[lo] |= self.member[hi]
-        others = np.flatnonzero(self.live)
-        ecc = np.maximum(self.ecc[others], self.ecc[lo])
-        ecc[~(self.member[others] | self.member[lo])] = math.inf
-        row = np.full(len(self.live), math.inf)
-        row[others] = unpower_array(ecc.min(axis=1), self.norm)
+        ecc, member, live = self.ecc, self.member, self.live
+        np.maximum(ecc[lo], ecc[hi], out=ecc[lo])
+        member[lo] |= member[hi]
+        others = live.nonzero()[0]
+        union = np.maximum(ecc[others], ecc[lo])
+        np.copyto(union, math.inf, where=~(member[others] | member[lo]))
+        row = np.full(len(live), math.inf)
+        row[others] = unpower_array(union.min(axis=1), self.norm)
         return row
 
 
@@ -334,6 +340,15 @@ class _RadiusCosts(_PairTable):
     width (``_deflate``).  The entry for a merged cluster A u B against C
     is bounded by diam(A u B u C) / 2, with the diameters from the
     elementwise max of ``_DiameterCosts``.
+
+    ``pend[i]`` is the least entry of row i that is still a bound, inf when
+    none is, and is kept like ``rowmin``: a merge takes the new row's
+    bounds elementwise and rescans the rows whose least bound was their
+    entry to a merged slot, and ``settle_to`` and ``exact_cost`` rescan the
+    rows they cost.  Deflating is monotone, so the least ``pend`` alone
+    tells ``settle_to`` whether any entry is due; when one is, the rows to
+    scan are those whose deflated ``pend`` is within the limit, and they
+    are the rows it changes.
     """
 
     def __init__(self, inst: Instance, members: list[tuple[int, ...]]):
@@ -343,33 +358,67 @@ class _RadiusCosts(_PairTable):
         # an overflowing powered distance is inf, and so is its ball
         self.diam = unpower_array(powered_matrix(inst), inst.norm)
         super().__init__(self.diam / 2.0)
+        # every entry off the diagonal is a bound
+        self.pend = self.rowmin.copy()
 
     def _cost(self, a: int, b: int) -> None:
         value = radius(sorted(self.members[a] + self.members[b]), self.inst).radius
         self.m[a, b] = self.m[b, a] = value
         self.exact[a, b] = self.exact[b, a] = True
 
+    def _rescan(self, rows) -> None:
+        """Recompute ``rowmin`` and ``pend`` of each slot in ``rows``."""
+        m, rowmin, pend, exact = self.m, self.rowmin, self.pend, self.exact
+        for i in rows:
+            row = m[i]
+            rowmin[i] = row[row.argmin()]
+            row = row.copy()
+            row[exact[i]] = math.inf
+            pend[i] = row[row.argmin()]
+
     def settle_to(self, limit: float) -> bool:
-        # a row holds an entry whose deflated bound is at most limit exactly
-        # when its minimum does
-        m, rowmin = self.m, self.rowmin
-        rows = np.flatnonzero(_deflate(rowmin) <= limit)
-        due = ~self.exact[rows] & (_deflate(m[rows]) <= limit)
+        # a row holds a due entry exactly when its least bound is due, and
+        # deflating is monotone, so the least bound of all decides alone
+        # whether anything is due.  A row with no bound left has pend inf,
+        # as has a row of infinite bounds: an infinite limit scans both
+        pend = self.pend
+        least = float(pend[pend.argmin()])
+        # _deflate(least), in scalar arithmetic
+        if min(least * (1.0 - TIE_REL_TOL), least - TIE_ABS_TOL) > limit:
+            return False
+        m = self.m
+        rows = (_deflate(pend) <= limit).nonzero()[0]
+        due = _deflate(m[rows]) <= limit
+        due &= ~self.exact[rows]
         due &= np.arange(len(m)) > rows[:, None]
-        r, c = np.nonzero(due)
+        r, c = due.nonzero()
         if not r.size:
             return False
         for a, b in zip(rows[r].tolist(), c.tolist()):
             self._cost(a, b)
-        touched = np.union1d(rows[r], c)
-        rowmin[touched] = m[touched].min(axis=1)
+        # both rows of a due entry are among these rows
+        self._rescan(rows.tolist())
         return True
 
     def exact_cost(self, lo: int, hi: int) -> float:
         if not self.exact[lo, hi]:
             self._cost(lo, hi)
-            self.rowmin[[lo, hi]] = self.m[[lo, hi]].min(axis=1)
+            self._rescan((lo, hi))
         return float(self.m[lo, hi])
+
+    def merge(self, lo: int, hi: int) -> None:
+        # pend follows rowmin: a row whose least bound was its entry to lo
+        # or hi is rescanned, any other row takes the new bound if smaller
+        m, pend = self.m, self.pend
+        stale = np.minimum(m[lo], m[hi]) == pend
+        super().merge(lo, hi)
+        stale &= self.live
+        stale[lo] = False
+        np.minimum(pend, m[lo], out=pend)
+        # row lo holds bounds at live slots and inf elsewhere
+        pend[lo] = self.rowmin[lo]
+        pend[hi] = math.inf
+        self._rescan(stale.nonzero()[0].tolist())
 
     def _row(self, lo: int, hi: int) -> np.ndarray:
         # diam is read only at live pairs, so its dead slots may hold anything
@@ -430,8 +479,8 @@ def _greedy(
         # settle: until the least entry and every entry in its tie band are
         # costs, not bounds
         while True:
-            best = float(rowmin.min())
-            band = best + tie_width(best)
+            best = float(rowmin[rowmin.argmin()])
+            band = best + max(TIE_REL_TOL * abs(best), TIE_ABS_TOL)  # tie_width(best)
             if not table.settle_to(band):
                 break
 
@@ -460,8 +509,8 @@ def _greedy(
             # live slots, and no entry lies above the band
             rows = rowmin <= band
             if band < math.inf:
-                lo = int(np.argmax(rows))
-                hi = lo + 1 + int(np.argmax(m[lo, lo + 1:] <= band))
+                lo = int(rows.argmax())
+                hi = lo + 1 + int((m[lo, lo + 1:] <= band).argmax())
             else:
                 lo, hi = np.flatnonzero(live)[:2].tolist()
             cost = float(m[lo, hi])
@@ -472,8 +521,9 @@ def _greedy(
                 # the band's rows as they are
                 while True:
                     sub = m[rows]
-                    above = min(rowmin[rowmin > band].min(initial=math.inf),
-                                sub[sub > band].min(initial=math.inf))
+                    above = min(np.minimum.reduce(rowmin, initial=math.inf, where=rowmin > band),
+                                np.minimum.reduce(sub, axis=None, initial=math.inf,
+                                                  where=sub > band))
                     if above == math.inf or not table.settle_to(float(above)):
                         break
                 margins.append(float(above) - best if above < math.inf else math.inf)
@@ -553,7 +603,7 @@ def agglomerate_nn_chain(inst: Instance) -> MergeHistory:
     # row-major order
     condensed = np.empty(n * (n - 1) // 2)
     cols = np.ascontiguousarray(inst.coords().T)
-    rows = max(1, _BLOCK_ELEMENTS // n)
+    rows = max(1, min(n - 1, _BLOCK_ELEMENTS // n))
     upper = np.arange(n - 1) >= np.arange(rows)[:, None]
     for start in range(0, n - 1, rows):
         stop = min(start + rows, n - 1)

@@ -209,6 +209,12 @@ def powered_distance(a: Sequence[float], b: Sequence[float], norm: Norm) -> floa
 
     Monotone in the true distance, so maxima/minima and exact tie checks can
     be done in this domain without taking roots.
+
+    Powers of small coordinate gaps underflow.  A distance reads 0 when
+    every gap is below about 1.6e-162 under l2, 1.4e-108 under lp3 and
+    1.8e-216 under lp1.5: ``distance((0, 0), (1e-110, 0), Norm(3.0))`` is
+    0.0.  A gap's power turns subnormal, and loses precision, below about
+    1.5e-154, 2.8e-103 and 7.9e-206.  l1 and l_inf take no powers.
     """
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")

@@ -328,10 +328,46 @@ def test_pair_table_invariants_hold_after_every_merge(monkeypatch):
     # after every merge of every backend the table is symmetric, holds inf
     # on the diagonal and at dead slots, keeps each row's minimum, and marks
     # live exactly the slots of the level's clusters: their member minima.
+    # The lazy radius table also keeps each row's least bound after every
+    # merge, settle and scripted exact cost; a settle leaves no entry due,
+    # and one that reports no change changed nothing and costed no ball.
     # Integer grids tie across many rows, duplicates tie at 0, and points
     # 1e200 apart overflow, so every entry of an infinite band is inf
     merge = engine._PairTable.merge
+    radius_merge = engine._RadiusCosts.merge
+    settle_to = engine._RadiusCosts.settle_to
+    exact_cost = engine._RadiusCosts.exact_cost
+    balls = _count_engine_radius_calls(monkeypatch)
     live_after, backends = [], set()
+    settles = {True: 0, False: 0}
+
+    def assert_least_bounds(table):
+        assert np.array_equal(table.rowmin, table.m.min(axis=1))
+        bounds = np.where(table.exact, math.inf, table.m)
+        assert np.array_equal(table.pend, bounds.min(axis=1))
+
+    def checked_radius_merge(table, lo, hi):
+        radius_merge(table, lo, hi)
+        assert_least_bounds(table)
+
+    def checked_settle(table, limit):
+        before = [a.copy() for a in (table.m, table.exact, table.rowmin, table.pend)]
+        calls = len(balls)
+        changed = settle_to(table, limit)
+        settles[changed] += 1
+        if not changed:
+            after = (table.m, table.exact, table.rowmin, table.pend)
+            assert all(np.array_equal(a, b) for a, b in zip(before, after))
+            assert len(balls) == calls
+        assert not (~table.exact & (engine._deflate(table.m) <= limit)).any()
+        assert_least_bounds(table)
+        return changed
+
+    def checked_exact_cost(table, lo, hi):
+        cost = exact_cost(table, lo, hi)
+        assert table.exact[lo, hi] and table.exact[hi, lo]
+        assert_least_bounds(table)
+        return cost
 
     def checked(table, lo, hi):
         assert lo < hi and table.live[lo] and table.live[hi]
@@ -351,6 +387,9 @@ def test_pair_table_invariants_hold_after_every_merge(monkeypatch):
         del live_after[:]
 
     monkeypatch.setattr(engine._PairTable, "merge", checked)
+    monkeypatch.setattr(engine._RadiusCosts, "merge", checked_radius_merge)
+    monkeypatch.setattr(engine._RadiusCosts, "settle_to", checked_settle)
+    monkeypatch.setattr(engine._RadiusCosts, "exact_cost", checked_exact_cost)
     grid = [(float(x), float(y)) for x in range(4) for y in range(3)]
     cases = [
         ("grid", grid),
@@ -382,6 +421,7 @@ def test_pair_table_invariants_hold_after_every_merge(monkeypatch):
                         continue
                     assert_levels(hist)
     assert backends == {engine._DiameterCosts, engine._EccentricityCosts, engine._RadiusCosts}
+    assert settles[True] and settles[False] and balls
 
 
 def _reference_greedy(inst, problem):
@@ -607,6 +647,22 @@ def test_lazy_radius_linkage_edge_cases_without_warnings():
             assert greedy_tie_margin(inst, Problem.RADIUS) == margin
     assert [(s.id_a, s.id_b, s.cost) for s in steps] == [
         (0, 1, 0.0), (2, 6, 0.0), (3, 7, 0.0), (4, 8, 0.0), (5, 9, 0.0)]
+
+
+def test_radius_settle_costs_bounds_within_a_tie_width_of_the_limit(monkeypatch):
+    # a bound above the limit by less than its tie width may hide a ball at
+    # the limit, so the least bound is deflated before a settle skips its
+    # work; a bound further above is left alone and costs no ball
+    calls = _count_engine_radius_calls(monkeypatch)
+    inst = gen_random("uniform_cube", n=6, d=2, norm=L2, seed=3)
+    table = engine._RadiusCosts(inst, [(i,) for i in range(6)])
+    least = float(table.pend.min())
+    assert np.count_nonzero(table.pend == least) == 2
+    assert not table.settle_to(least * (1.0 - 2 * TIE_REL_TOL))
+    assert calls == []
+    assert table.settle_to(least * (1.0 - TIE_REL_TOL / 2))
+    assert len(calls) == 1
+    assert float(table.pend.min()) > least
 
 
 def test_lazy_radius_linkage_deflates_bounds_at_the_band_edge():
