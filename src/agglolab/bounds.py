@@ -11,8 +11,9 @@ For the member-centered radius cost the level-k factor is the closed form
 level-k factors are conservatively composed from the guarantee's building
 blocks: a 2(log2(k)+2) phase factor on top of the two-k guarantee, then one
 final-merge step (doubling plus one or two extra optima).  The diameter
-constants involve 2^(3*(42d)^d), which overflows doubles already at d = 2;
-such values are reported as infinity and printed as "astronomical".
+constants involve 2^(3*(42d)^d), which overflows doubles already at d = 2
+((42d)^d itself does from d = 87 on); such values are reported as infinity
+and printed as "astronomical".
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ def render_bound(value: float) -> str:
     return "astronomical" if math.isinf(value) else f"{value:.12g}"
 
 
-def _pow2(exponent: float) -> float:
+def _pow(base: float, exponent: float) -> float:
+    """``math.pow``, or inf past the double range."""
     try:
-        return math.pow(2.0, exponent)
+        return math.pow(base, exponent)
     except OverflowError:
         return math.inf
 
@@ -83,8 +85,8 @@ def bound_value(problem: Problem, k: int, d: int, level: str = "at-k") -> float:
         # (cost at k is at most twice the level above plus one optimum)
         return 4.0 * (log_k + 2.0) * (base + 1.0) + 1.0
     if problem is Problem.DIAMETER:
-        sigma = float(42 * d) ** d
-        base = _pow2(3.0 * sigma) * (28.0 * d + 6.0)
+        sigma = _pow(42.0 * d, d)
+        base = _pow(2.0, 3.0 * sigma) * (28.0 * d + 6.0)
         if level == "two-k":
             return base
         return 4.0 * (log_k + 2.0) * (base + 2.0) + 2.0

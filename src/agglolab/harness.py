@@ -16,6 +16,9 @@ guarantee check, all folded into a :class:`RatioReport` row.
 * ``engine-equivalence``  -- the nearest-neighbor-chain fast path replays
                              the naive greedy loop exactly.
 
+A suite returns only its checks and report rows; ``verify_suite`` names them
+in a :class:`SuiteResult`, whose verdict ``passed`` holds when every check does.
+
 Report rows are sorted by (name, k, problem) before emission, so files are
 stable for fixed inputs and seeds (the runtime column is measured wall time
 and is the one field that varies between runs).
@@ -127,9 +130,12 @@ class CheckResult:
 @dataclass(frozen=True)
 class SuiteResult:
     suite: str
-    passed: bool
     checks: tuple[CheckResult, ...]
     reports: tuple[RatioReport, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
 
 def evaluate(
@@ -345,6 +351,9 @@ def grid_search_enclosing_radius(points: Sequence[Sequence[float]], norm: Norm =
 # suites
 
 
+_SuiteRun = tuple[list[CheckResult], list[RatioReport]]  # a suite's checks and rows
+
+
 def _check(checks: list[CheckResult], name: str, passed: bool, detail: str) -> None:
     checks.append(CheckResult(name=name, passed=bool(passed), detail=detail))
 
@@ -355,7 +364,7 @@ def _recomputed_level_cost(hist: MergeHistory, level: int) -> float:
     return max(cluster_cost(hist.linkage, c, hist.instance) for c in clusters)
 
 
-def _suite_paper_lower_bounds(seed: int) -> SuiteResult:
+def _suite_paper_lower_bounds(seed: int) -> _SuiteRun:
     checks: list[CheckResult] = []
     reports: list[RatioReport] = []
 
@@ -368,14 +377,15 @@ def _suite_paper_lower_bounds(seed: int) -> SuiteResult:
         hist = agglomerate(case.instance, Problem.DIAMETER, script=case.script, stop_at_k=4)
         hist.check_invariants(deep=True)
         algo = hist.cost_at_k(4)
-        opt = optimal_diameter_1d(case.instance, 4).opt_cost
+        rep = evaluate_case(case)  # its optimum comes from best_oracle
+        opt = rep.opt_cost
         elapsed = time.perf_counter() - t0
         ok = (algo == exp.algo_cost and opt == exp.opt_cost and elapsed < 1.0)
         _check(checks, f"line1d-n{n_param}", ok,
                f"algo={algo:g} (want {exp.algo_cost:g}) opt={opt:g} "
                f"(want {exp.opt_cost:g}) in {elapsed * 1000:.0f} ms")
         ratios.append(algo / opt)
-        reports.append(evaluate_case(case))
+        reports.append(rep)
     monotone = all(a < b for a, b in zip(ratios, ratios[1:]))
     below = all(r < 2.5 for r in ratios)
     _check(checks, "line1d-ratios", monotone and below,
@@ -440,11 +450,10 @@ def _suite_paper_lower_bounds(seed: int) -> SuiteResult:
            f"sqrt-run@8={hist_p2.cost_at_k(8):.10g} in {elapsed * 1000:.0f} ms")
     reports.append(rep)
 
-    passed = all(c.passed for c in checks)
-    return SuiteResult("paper-lower-bounds", passed, tuple(checks), tuple(_sorted_reports(reports)))
+    return checks, reports
 
 
-def _suite_upper_bound_sweep(seed: int) -> SuiteResult:
+def _suite_upper_bound_sweep(seed: int) -> _SuiteRun:
     checks: list[CheckResult] = []
     reports: list[RatioReport] = []
     rng = np.random.default_rng(seed)
@@ -485,11 +494,10 @@ def _suite_upper_bound_sweep(seed: int) -> SuiteResult:
            f"{count_1d_diam} one-dimensional complete-linkage runs, "
            f"max ratio {max_ratio_1d_diam:.6f}")
     _check(checks, "sweep-runtime", elapsed < 60.0, f"{elapsed:.1f} s (budget 60 s)")
-    passed = all(c.passed for c in checks)
-    return SuiteResult("upper-bound-sweep", passed, tuple(checks), tuple(_sorted_reports(reports)))
+    return checks, reports
 
 
-def _suite_volume_lemma(seed: int) -> SuiteResult:
+def _suite_volume_lemma(seed: int) -> _SuiteRun:
     checks: list[CheckResult] = []
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
@@ -517,11 +525,10 @@ def _suite_volume_lemma(seed: int) -> SuiteResult:
            f"{held}/{total} draws satisfied the packing bound" +
            (f"; first failure: {failures[0]}" if failures else ""))
     _check(checks, "volume-lemma-runtime", elapsed < 5.0, f"{elapsed:.2f} s (budget 5 s)")
-    passed = all(c.passed for c in checks)
-    return SuiteResult("volume-lemma", passed, tuple(checks), ())
+    return checks, []
 
 
-def _suite_oracle_crosscheck(seed: int) -> SuiteResult:
+def _suite_oracle_crosscheck(seed: int) -> _SuiteRun:
     checks: list[CheckResult] = []
     rng = np.random.default_rng(seed)
 
@@ -573,11 +580,10 @@ def _suite_oracle_crosscheck(seed: int) -> SuiteResult:
            "rad <= drad <= diam <= 2 rad on 15 instances"
            if not chain_violations else "; ".join(chain_violations[:3]))
 
-    passed = all(c.passed for c in checks)
-    return SuiteResult("oracle-crosscheck", passed, tuple(checks), ())
+    return checks, []
 
 
-def _suite_engine_equivalence(seed: int) -> SuiteResult:
+def _suite_engine_equivalence(seed: int) -> _SuiteRun:
     checks: list[CheckResult] = []
     rng = np.random.default_rng(seed)
     qualified = 0
@@ -625,11 +631,10 @@ def _suite_engine_equivalence(seed: int) -> SuiteResult:
            "cost_at_k equals recomputed max cluster cost on 30 runs"
            if not ident_violations else "; ".join(ident_violations[:3]))
 
-    passed = all(c.passed for c in checks)
-    return SuiteResult("engine-equivalence", passed, tuple(checks), ())
+    return checks, []
 
 
-_SUITES: dict[str, Callable[[int], SuiteResult]] = {
+_SUITES: dict[str, Callable[[int], _SuiteRun]] = {
     "paper-lower-bounds": _suite_paper_lower_bounds,
     "upper-bound-sweep": _suite_upper_bound_sweep,
     "volume-lemma": _suite_volume_lemma,
@@ -653,7 +658,8 @@ def verify_suite(
     """Run one named acceptance block; optionally write JSON/CSV reports."""
     if suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
-    result = _SUITES[suite](seed)
+    checks, reports = _SUITES[suite](seed)
+    result = SuiteResult(suite, tuple(checks), tuple(_sorted_reports(reports)))
     if report_json is not None:
         write_json_report(result, report_json)
     if report_csv is not None:
@@ -671,20 +677,11 @@ def write_json_report(result: SuiteResult, path: str | Path) -> None:
     data = {
         "suite": result.suite,
         "passed": result.passed,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in result.checks
-        ],
+        # every field, without the per-value deep copy of dataclasses.asdict
+        "checks": [vars(c) for c in result.checks],
         "rows": [
-            {
-                "name": r.name, "problem": r.problem.value, "norm": r.norm,
-                "n": r.n, "d": r.d, "k": r.k,
-                "algo_cost": r.algo_cost, "opt_cost": r.opt_cost,
-                "opt_kind": r.opt_kind, "ratio": r.ratio,
-                "bound": "astronomical" if math.isinf(r.bound) else r.bound,
-                "bound_satisfied": r.bound_satisfied,
-                "ms": r.ms,
-            }
+            {**vars(r), "problem": r.problem.value,
+             "bound": "astronomical" if math.isinf(r.bound) else r.bound}
             for r in _sorted_reports(result.reports)
         ],
     }

@@ -165,13 +165,16 @@ class BallCover:
     centers: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("cover radius must be >= 0")
+        if not 0.0 <= self.radius < math.inf:
+            raise ValueError(f"cover radius must be finite and >= 0, got {self.radius!r}")
         if not self.centers:
             raise ValueError("cover needs at least one center")
         dims = {len(c) for c in self.centers}
         if len(dims) != 1:
             raise ValueError("cover centers must share one dimension")
+        for i, c in enumerate(self.centers):
+            if not all(map(math.isfinite, c)):
+                raise ValueError(f"center {i} has a non-finite coordinate")
 
     @property
     def k(self) -> int:

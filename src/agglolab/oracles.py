@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -89,6 +90,8 @@ class CoverableSample:
         for i, p in enumerate(self.points):
             if len(p) != d:
                 raise ValueError(f"point {i} has dimension {len(p)}, cover has {d}")
+            if not all(map(math.isfinite, p)):
+                raise ValueError(f"point {i} has a non-finite coordinate")
 
     def to_instance(self, name: str) -> Instance:
         return Instance(name=name, dim=self.cover.dim, norm=self.norm, points=self.points)
@@ -328,7 +331,6 @@ def optimal_discrete_kcenter(inst: Instance, k: int) -> OracleResult:
     """
     n = len(inst.points)
     _validate_k(n, k)
-    # the budget decides which instances best_oracle routes here
     if math.comb(n, k) > CENTER_ENUM_BUDGET:
         raise SizeLimitError(
             f"C({n},{k}) center subsets exceed the {CENTER_ENUM_BUDGET:,} budget"
@@ -419,20 +421,21 @@ def best_oracle(
     upper_bound: float | None = None,
 ) -> OracleResult | None:
     """Exact optimum from the cheapest oracle that applies, or None when the
-    instance is past every oracle's budget.
+    instance is past the size limit of every one.
 
-    One-dimensional diameter goes to the interval cover, discrete radius to
-    the center cover search while C(n, k) fits its budget, and anything else with
-    n <= ``PARTITION_ENUM_MAX_N`` to partition enumeration, which
-    ``upper_bound`` (a cost some k-partition achieves) helps prune.
+    The routes are tried in order: one-dimensional diameter goes to the
+    interval cover; discrete radius to the center cover search, then to
+    partition enumeration; anything else to partition enumeration, which
+    ``upper_bound`` (a cost some k-partition achieves) helps prune.  Each
+    oracle states its own limit and raises :class:`SizeLimitError` past it,
+    and the router then moves on; any other error, as for a bad k, is raised.
     """
-    n = len(inst.points)
-    _validate_k(n, k)
     if problem is Problem.DIAMETER and inst.dim == 1:
         return optimal_diameter_1d(inst, k)
-    if problem is Problem.DISCRETE_RADIUS and math.comb(n, k) <= CENTER_ENUM_BUDGET:
-        return optimal_discrete_kcenter(inst, k)
-    if n <= PARTITION_ENUM_MAX_N:
+    if problem is Problem.DISCRETE_RADIUS:
+        with suppress(SizeLimitError):
+            return optimal_discrete_kcenter(inst, k)
+    with suppress(SizeLimitError):
         return optimal_by_partition_enum(inst, k, problem, upper_bound=upper_bound)
     return None
 

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from agglolab import Problem, bound_formula, bound_value
+from agglolab.bounds import LEVELS
 
 
 def test_discrete_radius_at_k_values():
@@ -46,6 +47,18 @@ def test_diameter_bound_overflows_to_astronomical():
         assert formula.astronomical
         assert formula.render() == "astronomical"
     assert not bound_formula(Problem.DIAMETER, 4, 1).astronomical
+
+
+@pytest.mark.parametrize("d", [86, 87, 100, 1000])
+def test_bounds_at_high_dimension_are_floats_or_inf(d):
+    # (42 d)^d itself overflows from d = 87 on
+    for problem in Problem:
+        for level in LEVELS:
+            value = bound_value(problem, 4, d, level)
+            assert type(value) is float
+            assert not math.isnan(value)
+    assert math.isinf(bound_value(Problem.DIAMETER, 4, d))
+    assert bound_value(Problem.DISCRETE_RADIUS, 4, d) == 20.0 * d + 6.0
 
 
 def test_bound_monotone_in_k():

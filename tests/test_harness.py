@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -22,7 +23,16 @@ from agglolab import (
     write_instance,
 )
 from agglolab.cli import _parse_norm, main
-from agglolab.harness import CSV_HEADER, write_csv, write_json_report
+from agglolab import harness, oracles
+from agglolab.oracles import optimal_diameter_1d
+from agglolab.harness import (
+    CSV_HEADER,
+    CheckResult,
+    RatioReport,
+    SuiteResult,
+    write_csv,
+    write_json_report,
+)
 
 
 def test_evaluate_linf_case():
@@ -106,6 +116,38 @@ def test_json_report_shape(tmp_path):
     assert data["suite"] == "paper-lower-bounds"
     assert data["passed"] is True
     assert {c["name"] for c in data["checks"]} >= {"linf2d", "l2-3d-x1.56"}
+    # a row holds every RatioReport field, so an added field reaches the
+    # JSON rows but not the pinned CSV columns
+    names = sorted(f.name for f in fields(RatioReport))
+    assert [sorted(row) for row in data["rows"]] == [names] * len(res.reports)
+    assert [row["problem"] for row in data["rows"]] == [r.problem.value for r in res.reports]
+    assert len(CSV_HEADER.split(",")) == len(names)
+    # the verdict is every check's, in the result and in its JSON
+    failed = SuiteResult(res.suite, res.checks + (CheckResult("extra", False, ""),), res.reports)
+    assert not failed.passed
+    write_json_report(failed, path)
+    assert json.loads(path.read_text())["passed"] is False
+
+
+def test_line_cases_take_the_optimum_from_their_report_row(monkeypatch):
+    calls = []
+
+    def counted(inst, k):
+        calls.append(inst.name)
+        return optimal_diameter_1d(inst, k)
+
+    monkeypatch.setattr(oracles, "optimal_diameter_1d", counted)
+    monkeypatch.setattr(harness, "optimal_diameter_1d", counted)
+    assert verify_suite("paper-lower-bounds").passed
+    assert len(calls) == 4 and len(set(calls)) == 4
+
+
+def test_evaluate_reports_an_astronomical_bound_at_high_dimension():
+    inst = gen_random("uniform_cube", n=6, d=90, norm=L2, seed=4)
+    rep = evaluate(inst, Problem.DIAMETER, 2)
+    assert math.isinf(rep.bound)
+    assert rep.bound_satisfied
+    assert rep.csv_row().split(",")[10] == "astronomical"
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +259,8 @@ def test_cli_bounds_output(capsys):
     assert "bound=26" in capsys.readouterr().out
     assert main(["bounds", "--problem", "diameter", "--k", "4", "--dim", "2"]) == 0
     assert "astronomical" in capsys.readouterr().out
+    assert main(["bounds", "--problem", "diameter", "--k", "4", "--dim", "100"]) == 0
+    assert "bound=astronomical" in capsys.readouterr().out
 
 
 def test_cli_generate_coverable(tmp_path, capsys):

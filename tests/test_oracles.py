@@ -535,21 +535,44 @@ def test_min_pairwise_distance_costs_few_pairs(monkeypatch):
     assert 0 < costed <= 4 * len(sample.points)
 
 
-def test_best_oracle_routes_to_the_cheapest_exact_oracle():
+def test_best_oracle_routes_to_the_cheapest_exact_oracle(monkeypatch):
     line = gen_random("uniform_cube", n=20, d=1, norm=L2, seed=3)
     assert best_oracle(line, Problem.DIAMETER, 3).method == "one-dim-dp"
     plane = gen_random("uniform_cube", n=20, d=2, norm=L2, seed=3)
     assert best_oracle(plane, Problem.DISCRETE_RADIUS, 3).method == "center-cover-search"
     assert best_oracle(plane, Problem.DIAMETER, 3) is None
-    for k in (0, len(plane.points) + 1):
-        with pytest.raises(ValueError):
-            best_oracle(plane, Problem.DIAMETER, k)
     small = gen_random("uniform_cube", n=8, d=2, norm=L2, seed=3)
     res = best_oracle(small, Problem.RADIUS, 3)
     assert res.method == "partition-enum"
     assert res.opt_cost == optimal_by_partition_enum(small, 3, Problem.RADIUS).opt_cost
     cube = gen_hypercube_l1(8).instance
     assert best_oracle(cube, Problem.DISCRETE_RADIUS, len(cube) // 2) is None
+
+    # each limit lives in its own oracle: past the cover search's budget,
+    # discrete radius falls through to partition enumeration, and past
+    # enumeration's cap too, no oracle applies
+    with monkeypatch.context() as m:
+        m.setattr(oracles, "CENTER_ENUM_BUDGET", 0)
+        res = best_oracle(small, Problem.DISCRETE_RADIUS, 3)
+        assert res.method == "partition-enum"
+        assert res.opt_cost == optimal_by_partition_enum(
+            small, 3, Problem.DISCRETE_RADIUS).opt_cost
+        assert best_oracle(plane, Problem.DISCRETE_RADIUS, 3) is None
+    with monkeypatch.context() as m:
+        m.setattr(oracles, "PARTITION_ENUM_MAX_N", 5)
+        assert best_oracle(small, Problem.RADIUS, 3) is None
+        assert best_oracle(small, Problem.DISCRETE_RADIUS, 3).method == "center-cover-search"
+
+    # a bad k is an error on every route, also where no oracle would apply
+    routes = [(line, Problem.DIAMETER), (plane, Problem.DISCRETE_RADIUS),
+              (plane, Problem.DIAMETER), (small, Problem.RADIUS)]
+    for budget in (oracles.CENTER_ENUM_BUDGET, 0):
+        monkeypatch.setattr(oracles, "CENTER_ENUM_BUDGET", budget)
+        for inst, problem in routes:
+            for k in (0, len(inst.points) + 1):
+                with pytest.raises(ValueError) as exc:
+                    best_oracle(inst, problem, k)
+                assert not isinstance(exc.value, SizeLimitError)
 
 
 def test_volume_lemma_single_ball_bound():
@@ -585,6 +608,25 @@ def test_volume_lemma_precondition():
             CoverableSample(points=((0.1,), (0.2,), (5.2,)), cover=cover, norm=L2),
             dim=3,
         )
+
+
+@pytest.mark.parametrize("radius, centers, message", [
+    (math.nan, ((0.0, 0.0),), "cover radius must be finite"),
+    (math.inf, ((0.0, 0.0),), "cover radius must be finite"),
+    (1.0, ((0.0, 0.0), (math.nan, 0.0)), "center 1 has a non-finite coordinate"),
+    (1.0, ((0.0, -math.inf),), "center 0 has a non-finite coordinate"),
+])
+def test_ball_cover_rejects_a_non_finite_radius_or_center(radius, centers, message):
+    with pytest.raises(ValueError, match=message):
+        BallCover(radius=radius, centers=centers)
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
+def test_coverable_sample_rejects_a_non_finite_point(bad):
+    # with a nan point the packing check would report that the bound holds
+    cover = BallCover(radius=1.0, centers=((0.0, 0.0),))
+    with pytest.raises(ValueError, match="point 1 has a non-finite coordinate"):
+        CoverableSample(points=((0.5, 0.0), bad, (0.0, 0.5)), cover=cover, norm=L2)
 
 
 def test_discrete_kcenter_two_oracle_routes_agree():
