@@ -172,6 +172,8 @@ class BallCover:
         dims = {len(c) for c in self.centers}
         if len(dims) != 1:
             raise ValueError("cover centers must share one dimension")
+        if not self.dim:
+            raise ValueError("cover centers have dimension 0, need at least 1")
         for i, c in enumerate(self.centers):
             if not all(map(math.isfinite, c)):
                 raise ValueError(f"center {i} has a non-finite coordinate")

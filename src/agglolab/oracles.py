@@ -7,7 +7,8 @@ Three independent routes to an optimum:
   works for all three cost functions.
 * ``optimal_discrete_kcenter``   -- bisection over the pairwise distances
   for the least one within which k of the points cover all of them, each
-  threshold decided by an exact search over cover bitmasks; exact for the
+  threshold decided by an exact search over cover bitmasks that a packing
+  bound prunes, within a budget of search nodes; exact for the
   member-centered radius cost.
 * ``optimal_diameter_1d``        -- sort + greedy interval cover with an
   exact bisection over candidate spans; exact for the diameter cost in
@@ -29,8 +30,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from contextlib import suppress
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from functools import reduce
+from itertools import chain, repeat
+from operator import or_
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,17 +53,21 @@ from .metrics import (
     powered_matrix,
     radius,
     unpower,
+    unpower_array,
 )
 
 __all__ = [
     "OracleResult", "CoverableSample", "VolumeCheck", "SizeLimitError",
     "optimal_by_partition_enum", "optimal_discrete_kcenter", "optimal_diameter_1d",
     "best_oracle", "volume_lemma_check", "min_pairwise_distance",
-    "PARTITION_ENUM_MAX_N", "CENTER_ENUM_BUDGET",
+    "PARTITION_ENUM_MAX_N", "CENTER_SEARCH_NODES",
 ]
 
 PARTITION_ENUM_MAX_N = 14
-CENTER_ENUM_BUDGET = 10_000_000
+# search steps of one optimal_discrete_kcenter call, summed over its
+# thresholds; a step takes 1.1-1.7 us on a 2-vCPU Xeon VM, so a refused call
+# stops after 1-2 s
+CENTER_SEARCH_NODES = 1_000_000
 
 
 class SizeLimitError(ValueError):
@@ -79,19 +87,41 @@ class OracleResult:
 
 @dataclass(frozen=True)
 class CoverableSample:
-    """Points drawn from a union of k balls, with the cover as certificate."""
+    """Points drawn from a union of k balls, with the cover as certificate.
+
+    Construction checks the certificate: every point must lie within the
+    cover radius, up to the tie band, of some center.
+    """
 
     points: tuple[tuple[float, ...], ...]
     cover: BallCover
     norm: Norm = L2
+    # the points as a read-only (m, d) array, built once by the check below
+    _coords: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = self.cover.dim
-        for i, p in enumerate(self.points):
-            if len(p) != d:
-                raise ValueError(f"point {i} has dimension {len(p)}, cover has {d}")
-            if not all(map(math.isfinite, p)):
+        cover = self.cover
+        d = cover.dim
+        if set(map(len, self.points)) - {d}:
+            i = next(i for i, p in enumerate(self.points) if len(p) != d)
+            raise ValueError(f"point {i} has dimension {len(self.points[i])}, cover has {d}")
+        # one pass over the (centers x points) table of distances: a point
+        # with a non-finite coordinate is nan or inf from every center; a
+        # point drawn as center + offset lies up to a rounding outside its
+        # ball, so the radius stretches by the tie band
+        pts = np.fromiter(chain.from_iterable(self.points), float, len(self.points) * d).reshape(-1, d)
+        pts.flags.writeable = False
+        object.__setattr__(self, "_coords", pts)
+        centers = np.array(cover.centers)
+        near = unpower_array(_powered_norms(
+            (centers[:, j, None] - pts[:, j] for j in range(d)), self.norm).min(axis=0), self.norm)
+        bad = np.flatnonzero(~(near <= cover.radius + tie_width(cover.radius)))
+        if bad.size:
+            i = int(bad[0])
+            if not all(map(math.isfinite, self.points[i])):
                 raise ValueError(f"point {i} has a non-finite coordinate")
+            raise ValueError(f"point {i} lies outside every cover ball: {float(near[i])!r} from "
+                             f"the nearest center, radius {cover.radius!r}")
 
     def to_instance(self, name: str) -> Instance:
         return Instance(name=name, dim=self.cover.dim, norm=self.norm, points=self.points)
@@ -271,32 +301,69 @@ def optimal_by_partition_enum(
     )
 
 
-def _cover_centers(covers: np.ndarray, k: int) -> list[int] | None:
+def _search_steps() -> Iterator[None]:
+    """The steps that one :func:`optimal_discrete_kcenter` call may take over
+    all its thresholds; the step past ``CENTER_SEARCH_NODES`` raises
+    :class:`SizeLimitError`."""
+    yield from repeat(None, CENTER_SEARCH_NODES)
+    raise SizeLimitError(f"cover search past the {CENTER_SEARCH_NODES:,}-node budget")
+
+
+def _cover_centers(covers: np.ndarray, k: int, steps: Iterator[None]) -> list[int] | None:
     """At most k centers that together cover every point, where
     ``covers[p, c]`` says that center c covers point p; None if none do.
 
     A depth-first search over cover bitmasks: some center covers the lowest
     uncovered point, so branching on the centers that cover it misses no
     cover.  ``failed`` maps each uncovered set searched in vain to the
-    largest number of centers it failed with.  Masks and branch lists are
-    built as the search first needs them.
+    largest number of centers it failed with.  A packing bound prunes a set
+    before it is searched, and the full set before the first branch:
+    uncovered points no two of which share a coverer need a center each,
+    and a greedy walk from the lowest uncovered point, dropping the points
+    that share a coverer with each point taken, finds such points.  The
+    bound only drops sets that no centers left can cover, so the search
+    meets the same first cover as without it.  Branch lists and each
+    point's reach (the points that share a coverer with it) are built as
+    the search first needs them.  The root and each branch tried or
+    exhausted take one item of ``steps``.
     """
     n = covers.shape[0]
-    bits = np.packbits(covers.T, axis=1, bitorder="little")
-    masks: dict[int, int] = {}
+    width = (n + 7) // 8
+    raw = np.packbits(covers.T, axis=1, bitorder="little").tobytes()
+    masks = [int.from_bytes(raw[c * width:(c + 1) * width], "little") for c in range(n)]
     coverers: dict[int, list[int]] = {}
+    reach: dict[int, int] = {}
+
+    def centers_of(p: int) -> list[int]:
+        if p not in coverers:
+            coverers[p] = covers[p].nonzero()[0].tolist()
+        return coverers[p]
 
     def branches_at(uncovered: int):
-        low = (uncovered & -uncovered).bit_length() - 1
-        if low not in coverers:
-            coverers[low] = np.flatnonzero(covers[low]).tolist()
-        return iter(coverers[low])
+        return iter(centers_of((uncovered & -uncovered).bit_length() - 1))
+
+    def needs_more(uncovered: int, budget: int) -> bool:
+        """Whether the points of ``uncovered`` need more than ``budget`` centers."""
+        while uncovered:
+            if not budget:
+                return True
+            budget -= 1
+            low = (uncovered & -uncovered).bit_length() - 1
+            near = reach.get(low)
+            if near is None:
+                near = reach[low] = reduce(or_, [masks[c] for c in centers_of(low)])
+            uncovered &= ~near
+        return False
 
     failed: dict[int, int] = {}
     chosen: list[int] = []
     path = [(1 << n) - 1]  # the uncovered set before each chosen center
+    next(steps)
+    if needs_more(path[0], k):
+        return None
     branches = [branches_at(path[0])]
     while branches:
+        next(steps)
         c = next(branches[-1], None)
         if c is None:
             failed[path.pop()] = k - len(chosen)
@@ -304,14 +371,15 @@ def _cover_centers(covers: np.ndarray, k: int) -> list[int] | None:
             if chosen:
                 chosen.pop()
             continue
-        if c not in masks:
-            masks[c] = int.from_bytes(bits[c].tobytes(), "little")
         rest = path[-1] & ~masks[c]
         if not rest:
             chosen.append(c)
             return chosen
         budget = k - len(chosen) - 1
         if failed.get(rest, 0) >= budget:  # no center left, or failed with as many
+            continue
+        if needs_more(rest, budget):
+            failed[rest] = budget
             continue
         chosen.append(c)
         path.append(rest)
@@ -325,16 +393,14 @@ def optimal_discrete_kcenter(inst: Instance, k: int) -> OracleResult:
     The optimum is a pairwise distance (Hochbaum & Shmoys 1985), so the
     distinct powered distances are bisected for the least t at which at
     most k points cover every point within t, each t decided exactly by a
-    depth-first search over cover bitmasks.  The witness assigns each point
-    to its nearest center, padded with the smallest other ids to k centers;
-    every center claims itself, so all k blocks are non-empty.
+    depth-first search over cover bitmasks with a packing bound.  The
+    searches of all thresholds share ``CENTER_SEARCH_NODES`` steps, and the
+    call raises :class:`SizeLimitError` past them.  The witness assigns
+    each point to its nearest center, padded with the smallest other ids to
+    k centers; every center claims itself, so all k blocks are non-empty.
     """
     n = len(inst.points)
     _validate_k(n, k)
-    if math.comb(n, k) > CENTER_ENUM_BUDGET:
-        raise SizeLimitError(
-            f"C({n},{k}) center subsets exceed the {CENTER_ENUM_BUDGET:,} budget"
-        )
     dpow = powered_matrix(inst)
     # the distinct values, 0 from the diagonal and inf where a power
     # overflows (np.unique would import numpy.ma on first use, 6 ms)
@@ -343,9 +409,10 @@ def optimal_discrete_kcenter(inst: Instance, k: int) -> OracleResult:
     # k farthest-first centers, whose cost bounds the bisection from above
     centers, nearest = _farthest_first(dpow, k)
     lo, hi = 0, int(np.searchsorted(vals, nearest.max()))
+    steps = _search_steps()  # shared by every threshold
     while lo < hi:
         mid = (lo + hi) // 2
-        found = _cover_centers(dpow <= vals[mid], k)
+        found = _cover_centers(dpow <= vals[mid], k, steps)
         if found is None:
             lo = mid + 1
         else:
@@ -494,6 +561,6 @@ def volume_lemma_check(sample: CoverableSample, dim: int) -> VolumeCheck:
     m = len(sample.points)
     if m <= k:
         raise ValueError(f"need more points than cover balls: |P|={m}, k={k}")
-    delta = min_pairwise_distance(sample.points, sample.norm)
+    delta = min_pairwise_distance(sample._coords, sample.norm)
     bound = 4.0 * sample.cover.radius * (k / m) ** (1.0 / dim)
     return VolumeCheck(min_pair_dist=delta, bound=bound, holds=delta <= bound)

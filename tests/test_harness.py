@@ -201,12 +201,16 @@ def test_cli_script_violation_exit_code(tmp_path):
                  "--tie", "script", "--k", "4"]) == 1
 
 
-def test_cli_oracle_budget_exit_code(tmp_path):
+def test_cli_oracle_budget_exit_code(tmp_path, monkeypatch):
+    # 64 points are past partition enumeration; the cover search answers
+    # within its node budget and refuses with none
     path = tmp_path / "cube.json"
     assert main(["generate", "--family", "hypercube-l1", "--k", "8",
                  "--out", str(path)]) == 0
-    assert main(["oracle", "--instance", str(path), "--problem",
-                 "discrete-radius", "--k", "32"]) == 3
+    args = ["oracle", "--instance", str(path), "--problem", "discrete-radius", "--k", "32"]
+    assert main(args) == 0
+    monkeypatch.setattr(oracles, "CENTER_SEARCH_NODES", 0)
+    assert main(args) == 3
 
 
 def test_cli_oracle_bad_k_is_a_usage_error(tmp_path):

@@ -31,6 +31,7 @@ from agglolab import (
 )
 from agglolab.forge import gen_hypercube_l1, gen_l2_3d, gen_linf_2d, gen_line_1d, gen_random
 from agglolab import oracles
+from agglolab.harness import verify_suite
 from agglolab.engine import tie_width
 from agglolab.metrics import powered_matrix, powered_row_blocks, unpower, unpower_array
 
@@ -180,10 +181,41 @@ def test_discrete_kcenter_hypercube_k4():
     assert res.opt_cost == 2.0
 
 
-def test_discrete_kcenter_budget_guard():
-    case = gen_hypercube_l1(8)
-    with pytest.raises(SizeLimitError):
-        optimal_discrete_kcenter(case.instance, 32)
+def test_discrete_kcenter_budget_guard(monkeypatch):
+    # C(64, 32) is about 1.8e18 center subsets, but the search takes one
+    # step: 64 distinct points at integer distances cost at least 1, and the
+    # packing bound refutes cost 0 at the root
+    cube = gen_hypercube_l1(8).instance
+    assert optimal_discrete_kcenter(cube, 32).opt_cost == 1.0
+    monkeypatch.setattr(oracles, "CENTER_SEARCH_NODES", 0)
+    with pytest.raises(SizeLimitError, match="node budget"):
+        optimal_discrete_kcenter(cube, 32)
+
+
+def test_discrete_kcenter_node_budget_spans_every_threshold(monkeypatch):
+    inst = gen_random("uniform_cube", n=40, d=2, norm=L2, seed=113)
+    want = optimal_discrete_kcenter(inst, 4)
+    counts = []  # the steps of each threshold's search
+    search = oracles._cover_centers
+
+    def counted(covers, k, steps):
+        counts.append(0)
+
+        def tally():
+            for step in steps:
+                counts[-1] += 1
+                yield step
+        return search(covers, k, tally())
+
+    monkeypatch.setattr(oracles, "_cover_centers", counted)
+    assert optimal_discrete_kcenter(inst, 4) == want
+    total = sum(counts)
+    assert len(counts) > 1 and total > max(counts)
+    monkeypatch.setattr(oracles, "CENTER_SEARCH_NODES", total)
+    assert optimal_discrete_kcenter(inst, 4) == want
+    monkeypatch.setattr(oracles, "CENTER_SEARCH_NODES", total - 1)
+    with pytest.raises(SizeLimitError, match=f"{total - 1:,}-node budget"):
+        optimal_discrete_kcenter(inst, 4)
 
 
 def test_discrete_kcenter_witness_partition():
@@ -246,6 +278,100 @@ def test_discrete_kcenter_matches_center_enumeration():
             assert max(discrete_radius(c, inst)[0] for c in res.partition) == res.opt_cost
             checked += 1
     assert checked == 207
+
+
+def _unpruned_cover_centers(covers, k):
+    """The cover search without the packing bound or a node budget: a
+    depth-first search over cover bitmasks that branches on the centers
+    covering the lowest uncovered point, with a memo of failed sets."""
+    n = covers.shape[0]
+    bits = np.packbits(covers.T, axis=1, bitorder="little")
+    masks = {}
+    coverers = {}
+
+    def branches_at(uncovered):
+        low = (uncovered & -uncovered).bit_length() - 1
+        if low not in coverers:
+            coverers[low] = np.flatnonzero(covers[low]).tolist()
+        return iter(coverers[low])
+
+    failed = {}
+    chosen = []
+    path = [(1 << n) - 1]
+    branches = [branches_at(path[0])]
+    while branches:
+        c = next(branches[-1], None)
+        if c is None:
+            failed[path.pop()] = k - len(chosen)
+            branches.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        if c not in masks:
+            masks[c] = int.from_bytes(bits[c].tobytes(), "little")
+        rest = path[-1] & ~masks[c]
+        if not rest:
+            chosen.append(c)
+            return chosen
+        budget = k - len(chosen) - 1
+        if failed.get(rest, 0) >= budget:
+            continue
+        chosen.append(c)
+        path.append(rest)
+        branches.append(branches_at(rest))
+    return None
+
+
+def test_discrete_kcenter_pruning_keeps_the_unpruned_result(monkeypatch):
+    # the packing bound drops only sets that no centers left can cover, so
+    # the search meets the same first cover: equal costs and witnesses
+    norms = (L1, L2, LINF, Norm(1.5))
+    cases = []
+    for t, n in enumerate(range(20, 61, 4)):
+        family = ("uniform_cube", "gaussian_blobs")[t % 2]
+        cases.append(gen_random(family, n=n, d=1 + t % 3, norm=norms[t % 4], seed=900 + t))
+    grid = np.random.default_rng(7).integers(0, 4, (30, 2)).astype(float)
+    cases.append(Instance.from_points("grid", [tuple(p) for p in grid.tolist()], L1))
+    cases.append(gen_random("uniform_cube", n=60, d=2, norm=L2, seed=113))
+    pruned = [optimal_discrete_kcenter(inst, k) for inst in cases for k in (2, 3, 4, 5)]
+    monkeypatch.setattr(oracles, "_cover_centers",
+                        lambda covers, k, steps: _unpruned_cover_centers(covers, k))
+    unpruned = [optimal_discrete_kcenter(inst, k) for inst in cases for k in (2, 3, 4, 5)]
+    assert pruned == unpruned
+    assert all(res.method == "center-cover-search" for res in pruned)
+
+
+def _crosscheck_corpus():
+    """200 small instances: n = 4-10 with a few at 11 and 12, d = 1-3, four
+    norms, and every fifth an integer grid with exact ties and duplicates."""
+    rng = np.random.default_rng(2026)
+    norms = (L1, L2, LINF, Norm(1.5))
+    for t in range(200):
+        n = 11 + t // 50 % 2 if t % 50 == 49 else 4 + t % 7
+        d = 1 + t // 7 % 3
+        if t % 5 == 4:
+            pts = rng.integers(0, 3, (n, d)).astype(float)
+        elif t % 5 in (1, 3):  # clumps
+            pts = rng.normal(0.0, 1.0, (n, d)) + rng.integers(0, 3, (n, 1)) * 4.0
+        else:
+            pts = rng.uniform(-1.0, 1.0, (n, d))
+        yield Instance.from_points(f"x{t}", [tuple(p) for p in pts.tolist()], norms[t % 4])
+
+
+def test_discrete_kcenter_matches_partition_enumeration():
+    # the hint only speeds enumeration up: past an over-tight hint it
+    # reruns without one, so its result is the optimum either way
+    checked = 0
+    for inst in _crosscheck_corpus():
+        n = len(inst)
+        for k in range(1, n + 1):
+            res = optimal_discrete_kcenter(inst, k)
+            ref = optimal_by_partition_enum(inst, k, Problem.DISCRETE_RADIUS,
+                                            upper_bound=res.opt_cost)
+            assert repr(res.opt_cost) == repr(ref.opt_cost), (inst.name, k)
+            assert max(discrete_radius(c, inst)[0] for c in res.partition) == res.opt_cost
+            checked += 1
+    assert checked == 1418
 
 
 def test_discrete_kcenter_overflow_is_infinite():
@@ -545,14 +671,20 @@ def test_best_oracle_routes_to_the_cheapest_exact_oracle(monkeypatch):
     res = best_oracle(small, Problem.RADIUS, 3)
     assert res.method == "partition-enum"
     assert res.opt_cost == optimal_by_partition_enum(small, 3, Problem.RADIUS).opt_cost
+    # the hypercubes are far past partition enumeration, and the cover
+    # search answers them in milliseconds
     cube = gen_hypercube_l1(8).instance
-    assert best_oracle(cube, Problem.DISCRETE_RADIUS, len(cube) // 2) is None
+    for k, want in ((8, 2.0), (16, 1.0), (32, 1.0)):
+        res = best_oracle(cube, Problem.DISCRETE_RADIUS, k)
+        assert (res.opt_cost, res.method) == (want, "center-cover-search")
+    res = best_oracle(gen_hypercube_l1(16).instance, Problem.DISCRETE_RADIUS, 16)
+    assert (res.opt_cost, res.method) == (2.0, "center-cover-search")
 
     # each limit lives in its own oracle: past the cover search's budget,
     # discrete radius falls through to partition enumeration, and past
     # enumeration's cap too, no oracle applies
     with monkeypatch.context() as m:
-        m.setattr(oracles, "CENTER_ENUM_BUDGET", 0)
+        m.setattr(oracles, "CENTER_SEARCH_NODES", 0)
         res = best_oracle(small, Problem.DISCRETE_RADIUS, 3)
         assert res.method == "partition-enum"
         assert res.opt_cost == optimal_by_partition_enum(
@@ -566,8 +698,8 @@ def test_best_oracle_routes_to_the_cheapest_exact_oracle(monkeypatch):
     # a bad k is an error on every route, also where no oracle would apply
     routes = [(line, Problem.DIAMETER), (plane, Problem.DISCRETE_RADIUS),
               (plane, Problem.DIAMETER), (small, Problem.RADIUS)]
-    for budget in (oracles.CENTER_ENUM_BUDGET, 0):
-        monkeypatch.setattr(oracles, "CENTER_ENUM_BUDGET", budget)
+    for budget in (oracles.CENTER_SEARCH_NODES, 0):
+        monkeypatch.setattr(oracles, "CENTER_SEARCH_NODES", budget)
         for inst, problem in routes:
             for k in (0, len(inst.points) + 1):
                 with pytest.raises(ValueError) as exc:
@@ -627,6 +759,36 @@ def test_coverable_sample_rejects_a_non_finite_point(bad):
     cover = BallCover(radius=1.0, centers=((0.0, 0.0),))
     with pytest.raises(ValueError, match="point 1 has a non-finite coordinate"):
         CoverableSample(points=((0.5, 0.0), bad, (0.0, 0.5)), cover=cover, norm=L2)
+
+
+def test_coverable_sample_rejects_a_point_outside_every_ball():
+    cover = BallCover(radius=0.1, centers=((0.0, 0.0),))
+    for norm in (L1, L2, LINF, Norm(1.5)):
+        with pytest.raises(ValueError, match="point 0 lies outside every cover ball"):
+            CoverableSample(points=((5.0, 5.0), (-5.0, -5.0)), cover=cover, norm=norm)
+        with pytest.raises(ValueError, match="point 1 lies outside every cover ball"):
+            CoverableSample(points=((0.1, 0.0), (0.0, 0.1 * (1 + 1e-6))), cover=cover, norm=norm)
+        # a point drawn as center + offset may round past the radius: the
+        # tie band forgives that
+        CoverableSample(points=((0.1, 0.0), (0.0, 0.1 * (1 + 1e-12))), cover=cover, norm=norm)
+
+
+def test_ball_cover_rejects_zero_dimensional_centers():
+    with pytest.raises(ValueError, match="dimension 0"):
+        BallCover(radius=1.0, centers=((),))
+
+
+def test_every_coverable_draw_of_the_suites_and_benchmark_constructs():
+    # the volume-lemma suite draws 200 samples per seed; the benchmark runs
+    # it at seeds 1 and 10001, and its oracle grid packs a 2000-point draw
+    for seed in (1, 10001):
+        result = verify_suite("volume-lemma", seed)
+        assert result.passed, result.checks
+    for kwargs in (dict(n=2000, seed=116, k=4), dict(n=10, seed=100, k=2)):
+        sample = gen_random("coverable", d=2, norm=L2, r=1.0, **kwargs)
+        res = volume_lemma_check(sample, 2)
+        assert res.holds
+        assert repr(res.min_pair_dist) == repr(min_pairwise_distance(sample.points, L2))
 
 
 def test_discrete_kcenter_two_oracle_routes_agree():
