@@ -5,14 +5,18 @@ Three independent routes to an optimum:
 * ``optimal_by_partition_enum``  -- exhaustive search over set partitions in
   restricted-growth-string order with branch-and-bound pruning (n <= 14);
   works for all three cost functions.
-* ``optimal_discrete_kcenter``   -- bisection over the pairwise distances
-  for the least one within which k of the points cover all of them, each
-  threshold decided by an exact search over cover bitmasks that a packing
-  bound prunes, within a budget of search nodes; exact for the
+* ``optimal_discrete_kcenter``   -- the least pairwise distance within
+  which k of the points cover all of them, by a descent from the cost of
+  the farthest-first centers: each cover found, re-centred, sets the next
+  threshold, and the first threshold refuted ends the search.  Each
+  threshold is decided by an exact search over cover bitmasks that a
+  packing bound prunes, within a budget of search nodes; exact for the
   member-centered radius cost.
 * ``optimal_diameter_1d``        -- sort + greedy interval cover with an
-  exact bisection over candidate spans; exact for the diameter cost in
-  dimension 1, where optimal clusters are intervals.
+  exact bisection over candidate spans, whose ends snap to spans that a
+  cover certifies; exact for the diameter cost in dimension 1, where
+  optimal clusters are intervals, and for the radius cost there as half
+  the l_inf diameter.
 
 ``best_oracle`` routes one (problem, k) request to the cheapest of them that
 applies; every caller that wants an optimum goes through it.
@@ -28,7 +32,7 @@ sample and equals the minimum over all pairs bit for bit.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from functools import reduce
@@ -145,11 +149,10 @@ def _sorted_clusters(blocks: Sequence[Sequence[int]]) -> tuple[Cluster, ...]:
     return tuple(clusters)
 
 
-def _farthest_first(dpow: np.ndarray, count: int) -> tuple[list[int], np.ndarray]:
-    """The first ``count`` farthest-first picks from point 0 (Gonzalez 1985),
-    and each point's powered distance to its nearest pick.  The picks are
-    distinct: once every point lies on a pick, the next is the first point
-    not picked yet."""
+def _farthest_first(dpow: np.ndarray, count: int) -> list[int]:
+    """The first ``count`` farthest-first picks from point 0 (Gonzalez 1985).
+    The picks are distinct: once every point lies on a pick, the next is the
+    first point not picked yet."""
     order = [0]
     nearest = dpow[0].copy()
     free = np.ones(len(dpow), dtype=bool)
@@ -158,7 +161,7 @@ def _farthest_first(dpow: np.ndarray, count: int) -> tuple[list[int], np.ndarray
         order.append(int(np.where(free, nearest, -1.0).argmax()))
         free[order[-1]] = False
         nearest = np.minimum(nearest, dpow[order[-1]])
-    return order, nearest
+    return order
 
 
 def optimal_by_partition_enum(
@@ -190,7 +193,7 @@ def optimal_by_partition_enum(
         inst = replace(inst, norm=LINF)
     dpow = powered_matrix(inst)
     norm = inst.norm
-    order, _ = _farthest_first(dpow, n)  # spread-out prefixes prune early
+    order = _farthest_first(dpow, n)  # spread-out prefixes prune early
 
     # Per-block state: member ids (original numbering) and powered diameter.
     blocks: list[list[int]] = []
@@ -387,17 +390,40 @@ def _cover_centers(covers: np.ndarray, k: int, steps: Iterator[None]) -> list[in
     return None
 
 
+def _recentred(dpow: np.ndarray, centers: Sequence[int]) -> tuple[np.ndarray, float]:
+    """A cover's centers moved to the best member of their blocks, and the
+    powered cost of the result.
+
+    Each point joins its nearest center, and each center claims itself
+    (duplicates); each block then moves its center to its member of least
+    within-block eccentricity, the lowest id among equals.  A block's old
+    center is one of its members, so no block's eccentricity grows, and
+    the cost, the largest distance from a point to its nearest new center,
+    is at most the old cover's.
+    """
+    centers = np.asarray(centers)
+    slot = dpow[:, centers].argmin(axis=1)
+    slot[centers] = np.arange(len(centers))
+    ecc = np.where(slot[:, None] == slot, dpow, 0.0).max(axis=1)
+    order = np.lexsort((ecc, slot))  # by block, then eccentricity, then id
+    moved = order[np.searchsorted(slot[order], np.arange(len(centers)))]
+    return moved, float(dpow[:, moved].min(axis=1).max())
+
+
 def optimal_discrete_kcenter(inst: Instance, k: int) -> OracleResult:
     """Exact optimum of the member-centered radius cost by a threshold search.
 
-    The optimum is a pairwise distance (Hochbaum & Shmoys 1985), so the
-    distinct powered distances are bisected for the least t at which at
-    most k points cover every point within t, each t decided exactly by a
-    depth-first search over cover bitmasks with a packing bound.  The
-    searches of all thresholds share ``CENTER_SEARCH_NODES`` steps, and the
-    call raises :class:`SizeLimitError` past them.  The witness assigns
-    each point to its nearest center, padded with the smallest other ids to
-    k centers; every center claims itself, so all k blocks are non-empty.
+    The optimum is a pairwise distance (Hochbaum & Shmoys 1985).  The
+    search descends the distinct powered distances from the cost of the k
+    farthest-first centers (Gonzalez 1985): it decides only the value just
+    below the best cover's cost, by a depth-first search over cover
+    bitmasks with a packing bound, and each cover found, re-centred on its
+    blocks' best members, sets the next value.  So the first refuted value
+    ends the search, and a call refutes at most once.  The searches of all
+    thresholds share ``CENTER_SEARCH_NODES`` steps, and the call raises
+    :class:`SizeLimitError` past them.  The witness assigns each point to
+    its nearest center, padded with the smallest other ids to k centers;
+    every center claims itself, so all k blocks are non-empty.
     """
     n = len(inst.points)
     _validate_k(n, k)
@@ -406,18 +432,16 @@ def optimal_discrete_kcenter(inst: Instance, k: int) -> OracleResult:
     # overflows (np.unique would import numpy.ma on first use, 6 ms)
     vals = np.sort(dpow, axis=None)
     vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
-    # k farthest-first centers, whose cost bounds the bisection from above
-    centers, nearest = _farthest_first(dpow, k)
-    lo, hi = 0, int(np.searchsorted(vals, nearest.max()))
+    centers, cost = _recentred(dpow, _farthest_first(dpow, k))
+    hi = int(np.searchsorted(vals, cost))  # a cover's cost is one of the values
     steps = _search_steps()  # shared by every threshold
-    while lo < hi:
-        mid = (lo + hi) // 2
-        found = _cover_centers(dpow <= vals[mid], k, steps)
+    while hi:
+        found = _cover_centers(dpow <= vals[hi - 1], k, steps)
         if found is None:
-            lo = mid + 1
-        else:
-            hi, centers = mid, found
-    chosen = set(centers)  # a cover may need fewer than k centers
+            break
+        centers, cost = _recentred(dpow, found)
+        hi = int(np.searchsorted(vals, cost))
+    chosen = set(centers.tolist())  # a cover may need fewer than k centers
     centers = sorted(chosen.union([p for p in range(n) if p not in chosen][:k - len(chosen)]))
     assignment = dpow[:, centers].argmin(axis=1)
     for slot, c in enumerate(centers):
@@ -434,16 +458,46 @@ def optimal_discrete_kcenter(inst: Instance, k: int) -> OracleResult:
     )
 
 
+def _greedy_runs(vals: list[float], k: int, span: float) -> list[int]:
+    """The k + 1 bounds of a greedy cover of the sorted ``vals`` by k runs
+    of span at most ``span``: each run takes the points within the span of
+    its first, cut short to leave a point for every later run.  The last
+    bound is len(vals) when the runs cover every point; otherwise no run
+    was cut short, and the first point past each run lies beyond the span.
+    """
+    n = len(vals)
+    bounds = [0]
+    while len(bounds) <= k and bounds[-1] < n:
+        first = vals[bounds[-1]]
+        end = bisect_right(vals, span, lo=bounds[-1], key=lambda v: v - first)
+        bounds.append(min(end, n - k + len(bounds)))
+    return bounds
+
+
+def _bits(span: float) -> int:
+    """The bit pattern of a non-negative double; the patterns sort as the
+    doubles do, and -0.0 counts as 0.0."""
+    return int(np.float64(abs(span)).view(np.int64))
+
+
+def _double(bits: int) -> float:
+    return float(np.int64(bits).view(np.float64))
+
+
 def optimal_diameter_1d(inst: Instance, k: int) -> OracleResult:
     """Exact optimal diameter cost in dimension 1 by a greedy interval cover.
 
     Some optimal partition splits the sorted values into runs, and a run's
     span (the float difference of its ends) is monotone in both ends, so a
-    greedy cover needs the fewest runs for its span; the least span that k
-    runs cover is found exactly by bisecting over the bit patterns of the
-    non-negative doubles, which sort as the doubles do.  A run's diameter is
-    the distance between its ends, monotone in the span, so the cost is the
-    largest such distance over the cover's runs, as ``diameter`` gives it.
+    greedy cover needs the fewest runs for its span.  The least span that k
+    runs cover is found exactly by a bisection over the bit patterns of the
+    non-negative doubles, whose ends snap to certified spans: a span the
+    runs cover lowers the upper end to their widest run; a span they do not
+    raises the lower end to the least one-point extension of the k runs,
+    below which the greedy cover keeps the same runs and so fails too.  A
+    run's diameter is the distance between its ends, monotone in the span,
+    so the cost is the largest such distance over the cover's runs, as
+    ``diameter`` gives it.
     """
     if inst.dim != 1:
         raise ValueError(f"one-dimensional oracle got dim={inst.dim}")
@@ -451,27 +505,17 @@ def optimal_diameter_1d(inst: Instance, k: int) -> OracleResult:
     _validate_k(n, k)
     order = sorted(range(n), key=lambda i: inst.points[i][0])
     vals = [inst.points[i][0] for i in order]
-
-    def cuts(span: float) -> list[int] | None:
-        """Starts of the greedy cover's runs, each cut short to leave a point
-        for every later run: exactly k runs, or None if k fall short."""
-        starts = [0]
-        while len(starts) <= k:
-            first = vals[starts[-1]]
-            end = bisect_right(vals, span, lo=starts[-1], key=lambda v: v - first)
-            end = min(end, n - k + len(starts))
-            if end == n:
-                return starts
-            starts.append(end)
-        return None
-
-    def double(bits: int) -> float:
-        return float(np.int64(bits).view(np.float64))
-
-    top = int(np.float64(vals[-1] - vals[0]).view(np.int64))
-    span = double(bisect_left(range(top + 1), True, key=lambda b: cuts(double(b)) is not None))
-    starts = cuts(span)
-    runs = list(zip(starts, starts[1:] + [n]))
+    lo, hi = 0, _bits(vals[-1] - vals[0])
+    while lo < hi:
+        mid = (lo + hi) // 2
+        bounds = _greedy_runs(vals, k, _double(mid))
+        runs = zip(bounds, bounds[1:])
+        if bounds[-1] == n:
+            hi = _bits(max(vals[b - 1] - vals[a] for a, b in runs))
+        else:
+            lo = _bits(min(vals[b] - vals[a] for a, b in runs))
+    bounds = _greedy_runs(vals, k, _double(hi))
+    runs = list(zip(bounds, bounds[1:]))
     return OracleResult(
         problem=Problem.DIAMETER,
         k=k,
@@ -491,7 +535,9 @@ def best_oracle(
     instance is past the size limit of every one.
 
     The routes are tried in order: one-dimensional diameter goes to the
-    interval cover; discrete radius to the center cover search, then to
+    interval cover; one-dimensional radius too, as half the l_inf diameter
+    optimum, since a 1-d ball is the midrange and its radius half the
+    block's span; discrete radius to the center cover search, then to
     partition enumeration; anything else to partition enumeration, which
     ``upper_bound`` (a cost some k-partition achieves) helps prune.  Each
     oracle states its own limit and raises :class:`SizeLimitError` past it,
@@ -499,6 +545,9 @@ def best_oracle(
     """
     if problem is Problem.DIAMETER and inst.dim == 1:
         return optimal_diameter_1d(inst, k)
+    if problem is Problem.RADIUS and inst.dim == 1:
+        res = optimal_diameter_1d(replace(inst, norm=LINF), k)
+        return replace(res, problem=problem, opt_cost=res.opt_cost / 2.0)
     if problem is Problem.DISCRETE_RADIUS:
         with suppress(SizeLimitError):
             return optimal_discrete_kcenter(inst, k)

@@ -1,6 +1,8 @@
 import gc
 import math
 import warnings
+from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -341,6 +343,122 @@ def test_discrete_kcenter_pruning_keeps_the_unpruned_result(monkeypatch):
     assert all(res.method == "center-cover-search" for res in pruned)
 
 
+def _bisected_discrete_kcenter(inst, k):
+    """The threshold search as a plain bisection: the distinct powered
+    distances up to the farthest-first cost, each threshold decided by the
+    cover search.  The reference that the descent's cost must equal."""
+    dpow = powered_matrix(inst)
+    vals = np.unique(dpow)
+    centers = oracles._farthest_first(dpow, k)
+    lo, hi = 0, int(np.searchsorted(vals, dpow[:, centers].min(axis=1).max()))
+    steps = oracles._search_steps()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if oracles._cover_centers(dpow <= vals[mid], k, steps) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    return unpower(float(vals[hi]), inst.norm)
+
+
+def test_discrete_kcenter_descent_takes_few_steps_and_decisions(monkeypatch):
+    # the plain bisection takes 124,880 search steps and 11 decisions on
+    # uniform (100, 6), and 10 decisions on the benchmark's (60, 4); a
+    # descent that did not re-centre its covers would take 17 and 10
+    decided = []
+    search = oracles._cover_centers
+    monkeypatch.setattr(oracles, "_cover_centers",
+                        lambda covers, k, steps: decided.append(k) or search(covers, k, steps))
+    for n, k, seed in ((100, 6, 1), (60, 4, 113)):
+        inst = gen_random("uniform_cube", n=n, d=2, norm=L2, seed=seed)
+        want = _bisected_discrete_kcenter(inst, k)
+        del decided[:]
+        with monkeypatch.context() as m:
+            m.setattr(oracles, "CENTER_SEARCH_NODES", 124_880 // 2 - 1)
+            assert repr(optimal_discrete_kcenter(inst, k).opt_cost) == repr(want)
+        assert len(decided) <= 4
+
+
+def _bisected_diameter_1d(inst, k):
+    """The 1-d interval cover with a plain bisection over the bit patterns
+    of the non-negative doubles, about 62 decisions: the reference that the
+    snapped bisection's cost and witness must equal."""
+    n = len(inst.points)
+    order = sorted(range(n), key=lambda i: inst.points[i][0])
+    vals = [inst.points[i][0] for i in order]
+
+    def cuts(span):
+        starts = [0]
+        while len(starts) <= k:
+            first = vals[starts[-1]]
+            end = bisect_right(vals, span, lo=starts[-1], key=lambda v: v - first)
+            end = min(end, n - k + len(starts))
+            if end == n:
+                return starts
+            starts.append(end)
+        return None
+
+    def double(bits):
+        return float(np.int64(bits).view(np.float64))
+
+    top = int(np.float64(vals[-1] - vals[0]).view(np.int64))
+    span = double(bisect_left(range(top + 1), True, key=lambda b: cuts(double(b)) is not None))
+    starts = cuts(span)
+    runs = list(zip(starts, starts[1:] + [n]))
+    return oracles.OracleResult(
+        problem=Problem.DIAMETER,
+        k=k,
+        opt_cost=max(distance((vals[a],), (vals[b - 1],), inst.norm) for a, b in runs),
+        partition=oracles._sorted_clusters([order[a:b] for a, b in runs]),
+        method="one-dim-dp",
+    )
+
+
+def _threshold_corpus():
+    """24 instances at n = 20-130, d = 1-3, four norms: uniform, blobs, and
+    integer grids with exact ties and duplicates; each with its levels k,
+    2-6, but 2-4 past n = 75 in the plane and in space, where a level of 5
+    or 6 can take the plain bisection seconds."""
+    norms = (L1, L2, LINF, Norm(1.5))
+    for t in range(24):
+        n, d, norm = 20 + 110 * t // 23, 1 + t % 3, norms[t % 4]
+        kind = t // 3 % 3
+        if kind == 2:
+            grid = np.random.default_rng(500 + t).integers(0, 4, (n, d)).astype(float)
+            inst = Instance.from_points(f"grid{t}", [tuple(p) for p in grid.tolist()], norm)
+        else:
+            inst = gen_random(("uniform_cube", "gaussian_blobs")[kind], n=n, d=d, norm=norm,
+                              seed=500 + t)
+        yield inst, range(2, 7 if n <= 75 or d == 1 else 5)
+
+
+def test_threshold_oracles_match_their_bisections(monkeypatch):
+    # the descent refutes at most one threshold per call, and both oracles
+    # land where a plain bisection does; the 1-d witness is the same too
+    refuted = []  # per call, the thresholds that the cover search refuted
+    search = oracles._cover_centers
+
+    def counted(covers, k, steps):
+        found = search(covers, k, steps)
+        refuted[-1] += found is None
+        return found
+
+    checked = 0
+    for inst, levels in _threshold_corpus():
+        for k in levels:
+            monkeypatch.setattr(oracles, "_cover_centers", counted)
+            refuted.append(0)
+            res = optimal_discrete_kcenter(inst, k)
+            monkeypatch.undo()
+            assert repr(res.opt_cost) == repr(_bisected_discrete_kcenter(inst, k)), (inst.name, k)
+            assert max(discrete_radius(c, inst)[0] for c in res.partition) == res.opt_cost
+            if inst.dim == 1:
+                assert optimal_diameter_1d(inst, k) == _bisected_diameter_1d(inst, k)
+            checked += 1
+    assert checked == 104
+    assert max(refuted) == 1
+
+
 def _crosscheck_corpus():
     """200 small instances: n = 4-10 with a few at 11 and 12, d = 1-3, four
     norms, and every fifth an integer grid with exact ties and duplicates."""
@@ -534,6 +652,51 @@ def test_diameter_1d_matches_reference_dp():
     assert repr(res.opt_cost) == repr(diameter(res.partition[0], zeros)) == "0.0"
 
 
+def _edge_lines():
+    """Lines whose spans overflow, signed zeros, and subnormal steps."""
+    tiny = 5e-324
+    return {
+        "overflow-1e308": [-1e308, -5e307, 0.0, 3.0, 1e308, 2e307],
+        "overflow-1.7e308": [-1.7e308, -1e308, 1.0, 1e308, 1.7e308, 1.6e308, -1.7e308],
+        "signed-zeros": [0.0, -0.0, -0.0, 0.0, 1.0, -1.0, -0.0],
+        "subnormal-steps": [m * tiny for m in (0, 1, 2, 5, -1, 3, 1, -0.0)],
+    }
+
+
+@pytest.mark.parametrize("norm", [L1, L2, Norm(1.5)], ids=lambda norm: norm.label)
+@pytest.mark.parametrize("name", sorted(_edge_lines()))
+def test_one_dimensional_routes_match_partition_enumeration_on_edge_lines(name, norm):
+    # the snapped bisection lands where the plain one does, and both 1-d
+    # routes agree with enumeration, which costs radius blocks as half
+    # their l_inf span
+    inst = Instance.from_points(name, [(v,) for v in _edge_lines()[name]], norm)
+    for k in range(1, len(inst) + 1):
+        res = optimal_diameter_1d(inst, k)
+        assert res == _bisected_diameter_1d(inst, k)
+        enum = optimal_by_partition_enum(inst, k, Problem.DIAMETER)
+        assert repr(res.opt_cost) == repr(enum.opt_cost), k
+        res = best_oracle(inst, Problem.RADIUS, k)
+        assert (res.problem, res.method) == (Problem.RADIUS, "one-dim-dp")
+        enum = optimal_by_partition_enum(inst, k, Problem.RADIUS)
+        assert repr(res.opt_cost) == repr(enum.opt_cost), k
+        assert max(radius(c, inst).radius for c in res.partition) == res.opt_cost
+
+
+def test_diameter_1d_decides_few_spans(monkeypatch):
+    # the plain bisection decides about 62 spans on the benchmark's line;
+    # the snapped one at most 20, counting the witness's own cover
+    spans = []
+    runs = oracles._greedy_runs
+    monkeypatch.setattr(oracles, "_greedy_runs",
+                        lambda vals, k, span: spans.append(span) or runs(vals, k, span))
+    for seed in (114, 214, 314):
+        inst = gen_random("uniform_cube", n=800, d=1, norm=L2, seed=seed)
+        del spans[:]
+        res = optimal_diameter_1d(inst, 8)
+        assert len(spans) <= 20
+        assert res == _bisected_diameter_1d(inst, 8)
+
+
 def test_opt_nonincreasing_in_k():
     inst = gen_random("uniform_cube", n=10, d=2, norm=L2, seed=23)
     costs = [optimal_by_partition_enum(inst, k, Problem.DIAMETER).opt_cost
@@ -664,6 +827,16 @@ def test_min_pairwise_distance_costs_few_pairs(monkeypatch):
 def test_best_oracle_routes_to_the_cheapest_exact_oracle(monkeypatch):
     line = gen_random("uniform_cube", n=20, d=1, norm=L2, seed=3)
     assert best_oracle(line, Problem.DIAMETER, 3).method == "one-dim-dp"
+    # 1-d radius is half the l_inf diameter optimum, past enumeration's cap
+    # too, and equal to enumeration below it
+    half = optimal_diameter_1d(replace(line, norm=LINF), 3)
+    res = best_oracle(line, Problem.RADIUS, 3)
+    assert res == replace(half, problem=Problem.RADIUS, opt_cost=half.opt_cost / 2.0)
+    short = gen_random("uniform_cube", n=9, d=1, norm=Norm(1.5), seed=3)
+    for k in (1, 3, 5):
+        res = best_oracle(short, Problem.RADIUS, k)
+        assert (res.problem, res.method) == (Problem.RADIUS, "one-dim-dp")
+        assert res.opt_cost == optimal_by_partition_enum(short, k, Problem.RADIUS).opt_cost
     plane = gen_random("uniform_cube", n=20, d=2, norm=L2, seed=3)
     assert best_oracle(plane, Problem.DISCRETE_RADIUS, 3).method == "center-cover-search"
     assert best_oracle(plane, Problem.DIAMETER, 3) is None
@@ -694,10 +867,12 @@ def test_best_oracle_routes_to_the_cheapest_exact_oracle(monkeypatch):
         m.setattr(oracles, "PARTITION_ENUM_MAX_N", 5)
         assert best_oracle(small, Problem.RADIUS, 3) is None
         assert best_oracle(small, Problem.DISCRETE_RADIUS, 3).method == "center-cover-search"
+        assert best_oracle(short, Problem.RADIUS, 3).method == "one-dim-dp"
 
     # a bad k is an error on every route, also where no oracle would apply
-    routes = [(line, Problem.DIAMETER), (plane, Problem.DISCRETE_RADIUS),
-              (plane, Problem.DIAMETER), (small, Problem.RADIUS)]
+    routes = [(line, Problem.DIAMETER), (line, Problem.RADIUS),
+              (plane, Problem.DISCRETE_RADIUS), (plane, Problem.DIAMETER),
+              (small, Problem.RADIUS)]
     for budget in (oracles.CENTER_SEARCH_NODES, 0):
         monkeypatch.setattr(oracles, "CENTER_SEARCH_NODES", budget)
         for inst, problem in routes:
