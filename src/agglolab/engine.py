@@ -47,7 +47,6 @@ from .metrics import (
     _powered_norms,
     powered_matrix,
     radius,
-    unpower,
     unpower_array,
 )
 
@@ -288,28 +287,49 @@ class _EccentricityCosts(_PairTable):
 
     e_A[c] is the largest powered distance from point c to a member of A, so
     e_{A u B} = max(e_A, e_B), and drad(A u B) is the root of the minimum of
-    e_{A u B} over the members of A u B.  Max and min are exact, so the
-    costs equal ``discrete_radius()`` bit for bit.
+    e_{A u B} over the members of A u B.  Row i of ``ecc`` is e of the
+    cluster at slot i.
+
+    The row of a merged cluster L against a live cluster C splits that
+    minimum over L u C in two.  The minimum over c in L of max(e_L[c],
+    e_C[c]) is one gather of the columns of L's members.  The minimum over
+    c in C needs e_C[c] only for c's own cluster: ``own[c]`` holds it, and
+    ``label[c]`` is the slot of c's cluster, so it is a minimum of
+    max(e_L, own) grouped by label.  ``members`` is the engine's list of
+    each slot's members, already holding L when the row is costed.  A merge
+    then costs O(live * |L| + n), not O(live * n).  Max and min are exact
+    and a minimum does not depend on how its set is split, so the costs
+    equal ``discrete_radius()`` bit for bit.
     """
 
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, members: list[tuple[int, ...]]):
         dpow = powered_matrix(inst)
+        n = len(dpow)
         self.norm = inst.norm
+        self.members = members
         # a copy: under l1 and l_inf unpower_array returns dpow itself,
         # whose diagonal the table sets to inf
         self.ecc = dpow.T.copy()
-        self.member = np.eye(len(dpow), dtype=bool)
+        self.own = np.zeros(n)
+        self.label = np.arange(n)
         super().__init__(unpower_array(dpow, inst.norm))
 
     def _row(self, lo: int, hi: int) -> np.ndarray:
-        ecc, member, live = self.ecc, self.member, self.live
-        np.maximum(ecc[lo], ecc[hi], out=ecc[lo])
-        member[lo] |= member[hi]
-        others = live.nonzero()[0]
-        union = np.maximum(ecc[others], ecc[lo])
-        np.copyto(union, math.inf, where=~(member[others] | member[lo]))
-        row = np.full(len(live), math.inf)
-        row[others] = unpower_array(union.min(axis=1), self.norm)
+        ecc, own, label = self.ecc, self.own, self.label
+        e = np.maximum(ecc[lo], ecc[hi], out=ecc[lo])
+        union = np.array(self.members[lo])
+        label[union] = lo
+        own[union] = e[union]
+        # the minimum over each live cluster's own points; L's points land
+        # at the dead slot lo, and dead slots stay inf
+        row = np.full(len(label), math.inf)
+        np.minimum.at(row, label, np.maximum(e, own))
+        row[lo] = math.inf
+        # and over L's points, against every live cluster at once
+        others = self.live.nonzero()[0]
+        block = ecc[others[:, None], union]
+        np.maximum(block, e[union], out=block)
+        row[others] = unpower_array(np.minimum(row[others], block.min(axis=1)), self.norm)
         return row
 
 
@@ -435,7 +455,7 @@ def _make_backend(inst: Instance, linkage: Problem, members: list[tuple[int, ...
     if linkage is Problem.DIAMETER:
         return _DiameterCosts(unpower_array(powered_matrix(inst), inst.norm))
     if linkage is Problem.DISCRETE_RADIUS:
-        return _EccentricityCosts(inst)
+        return _EccentricityCosts(inst, members)
     if inst.norm.is_infinity or inst.dim == 1:
         return _DiameterCosts(powered_matrix(replace(inst, norm=LINF)) / 2.0)
     return _RadiusCosts(inst, members)
@@ -617,34 +637,47 @@ def agglomerate_nn_chain(inst: Instance) -> MergeHistory:
     z = linkage(condensed, method="complete")
     pairs = z[:, :2].astype(int).tolist()
     sizes = z[:, 3].astype(int).tolist()
-    costs = [unpower(h, inst.norm) for h in z[:, 2].tolist()]
+    costs = unpower_array(z[:, 2], inst.norm).tolist()
 
     # scipy numbers the cluster made by row i as n + i, and its rows are in
-    # an order where operands come first, so member minima fill in one pass
-    mins = list(range(n)) + [0] * (n - 1)
-    consumer = {}  # the row that merges a cluster away
+    # an order where operands come first, so member minima, heap keys, the
+    # row that merges each cluster away and each row's count of operands
+    # not yet made fill in one pass
+    mins = list(range(n))
+    keys = []
+    consumer = [-1] * (2 * n - 1)
+    unmade = []
     for i, (a, b) in enumerate(pairs):
-        mins[n + i] = min(mins[a], mins[b])
+        ma, mb = mins[a], mins[b]
+        if ma < mb:
+            mins.append(ma)
+            keys.append((costs[i], ma, mb, i))
+        else:
+            mins.append(mb)
+            keys.append((costs[i], mb, ma, i))
         consumer[a] = consumer[b] = i
+        unmade.append((a >= n) + (b >= n))
 
-    def entry(i: int) -> tuple[float, int, int, int]:
-        a, b = pairs[i]
-        return (costs[i], min(mins[a], mins[b]), max(mins[a], mins[b]), i)
-
-    final_id: list[int | None] = list(range(n)) + [None] * (n - 1)
-    ready = [entry(i) for i, (a, b) in enumerate(pairs) if a < n and b < n]
+    final_id = list(range(n)) + [0] * (n - 1)
+    ready = [keys[i] for i in range(n - 1) if not unmade[i]]
     heapq.heapify(ready)
     steps: list[MergeStep] = []
+    new_id = n
     while ready:
         cost, _, _, i = heapq.heappop(ready)
-        fa, fb = (final_id[c] for c in pairs[i])
-        new_id = n + len(steps)
+        a, b = pairs[i]
+        fa, fb = final_id[a], final_id[b]
+        if fa > fb:
+            fa, fb = fb, fa
         final_id[n + i] = new_id
-        steps.append(MergeStep(min(fa, fb), max(fa, fb), cost, new_id, sizes[i]))
+        steps.append(MergeStep(fa, fb, cost, new_id, sizes[i]))
+        new_id += 1
         # each cluster is an operand of one merge, which becomes ready when
-        # its second operand is made
-        j = consumer.get(n + i)
-        if j is not None and all(final_id[c] is not None for c in pairs[j]):
-            heapq.heappush(ready, entry(j))
+        # its last operand is made
+        j = consumer[n + i]
+        if j >= 0:
+            unmade[j] -= 1
+            if not unmade[j]:
+                heapq.heappush(ready, keys[j])
 
     return MergeHistory(instance=inst, linkage=Problem.DIAMETER, steps=tuple(steps))

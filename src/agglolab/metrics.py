@@ -201,9 +201,6 @@ class EnclosingBall:
     center: tuple[float, ...]
     approximate: bool = False
 
-    def __iter__(self):  # allows ``r, c = radius(...)`` unpacking
-        return iter((self.radius, self.center))
-
 
 # ---------------------------------------------------------------------------
 # distances

@@ -1,3 +1,4 @@
+import heapq
 import math
 import warnings
 
@@ -26,7 +27,7 @@ from agglolab import (
 )
 from agglolab.engine import TIE_ABS_TOL, TIE_REL_TOL, tie_width
 from agglolab.forge import gen_line_1d, gen_linf_2d, gen_random
-from agglolab.metrics import powered_matrix, unpower
+from agglolab.metrics import powered_matrix, unpower, unpower_array
 from agglolab.oracles import optimal_by_partition_enum, optimal_diameter_1d
 
 
@@ -324,6 +325,68 @@ def test_nn_chain_on_exact_ties_is_a_valid_greedy_run():
             assert len(costs) == len(inst) - 1
 
 
+def _reference_replay(z, inst):
+    """Replay scipy's linkage matrix ``z`` in greedy order with a heap of
+    ready merges, each ready once both of its operands are made: the
+    reference for ``agglomerate_nn_chain``'s replay."""
+    n = len(inst)
+    pairs = z[:, :2].astype(int).tolist()
+    costs = [unpower(h, inst.norm) for h in z[:, 2].tolist()]
+    mins = list(range(n)) + [0] * (n - 1)
+    consumer = {}
+    for i, (a, b) in enumerate(pairs):
+        mins[n + i] = min(mins[a], mins[b])
+        consumer[a] = consumer[b] = i
+
+    def entry(i):
+        a, b = pairs[i]
+        return (costs[i], min(mins[a], mins[b]), max(mins[a], mins[b]), i)
+
+    final_id = list(range(n)) + [None] * (n - 1)
+    ready = [entry(i) for i, (a, b) in enumerate(pairs) if a < n and b < n]
+    heapq.heapify(ready)
+    steps = []
+    while ready:
+        cost, _, _, i = heapq.heappop(ready)
+        fa, fb = (final_id[c] for c in pairs[i])
+        new_id = n + len(steps)
+        final_id[n + i] = new_id
+        steps.append(MergeStep(min(fa, fb), max(fa, fb), cost, new_id, int(z[i, 3])))
+        j = consumer.get(n + i)
+        if j is not None and all(final_id[c] is not None for c in pairs[j]):
+            heapq.heappush(ready, entry(j))
+    return tuple(steps)
+
+
+def test_nn_chain_replay_matches_the_reference_replay(monkeypatch):
+    # the replay order is pinned step for step, costs bit for bit, on the
+    # linkage matrix scipy built for the run: on integer grids, where costs
+    # tie exactly and the heap order falls to the member minima, and on
+    # uniform draws under l2 and lp1.5
+    import scipy.cluster.hierarchy
+
+    linkage = scipy.cluster.hierarchy.linkage
+    built = []
+
+    def capture(*args, **kwargs):
+        built.append(linkage(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(scipy.cluster.hierarchy, "linkage", capture)
+    grid = [(float(x), float(y)) for x in range(20) for y in range(20)]
+    cases = [Instance.from_points("grid", grid, norm) for norm in (L1, L2, LINF)]
+    for seed in range(6):
+        d = 1 + seed % 3
+        ints = np.random.default_rng(950 + seed).integers(0, 5, size=(30 + 20 * seed, d))
+        cases.append(Instance.from_points("ints", ints.astype(float).tolist(), (L2, LINF)[seed % 2]))
+        for norm in (L2, Norm(1.5)):
+            cases.append(gen_random("uniform_cube", n=40 + 50 * seed, d=d, norm=norm, seed=960 + seed))
+    for inst in cases:
+        steps = agglomerate_nn_chain(inst).steps
+        assert len(steps) == len(inst) - 1
+        assert repr(steps) == repr(_reference_replay(built.pop(), inst))
+
+
 def test_pair_table_invariants_hold_after_every_merge(monkeypatch):
     # after every merge of every backend the table is symmetric, holds inf
     # on the diagonal and at dead slots, keeps each row's minimum, and marks
@@ -476,17 +539,46 @@ class _RecomputeCosts(engine._PairTable):
         return row
 
 
-_lazy_backend = engine._make_backend
+class _FullEccentricityCosts(engine._PairTable):
+    """Discrete-radius backend that costs a merged row over all n points,
+    the reference for the engine's, which costs it over the members of the
+    merged cluster: e_L against the eccentricity vector of every live
+    cluster, masked to the union's members by an n x n membership matrix,
+    in one (live x n) pass."""
+
+    def __init__(self, inst):
+        dpow = powered_matrix(inst)
+        self.norm = inst.norm
+        self.ecc = dpow.T.copy()
+        self.member = np.eye(len(dpow), dtype=bool)
+        super().__init__(unpower_array(dpow, inst.norm))
+
+    def _row(self, lo, hi):
+        ecc, member, live = self.ecc, self.member, self.live
+        np.maximum(ecc[lo], ecc[hi], out=ecc[lo])
+        member[lo] |= member[hi]
+        others = live.nonzero()[0]
+        union = np.maximum(ecc[others], ecc[lo])
+        np.copyto(union, math.inf, where=~(member[others] | member[lo]))
+        row = np.full(len(live), math.inf)
+        row[others] = unpower_array(union.min(axis=1), self.norm)
+        return row
+
+
+_engine_backend = engine._make_backend
 
 
 def _eager_backend(inst, linkage, members):
+    if linkage is Problem.DISCRETE_RADIUS:
+        return _FullEccentricityCosts(inst)
     if linkage is Problem.RADIUS and not (inst.norm.is_infinity or inst.dim == 1):
         return _RecomputeCosts(inst, members)
-    return _lazy_backend(inst, linkage, members)
+    return _engine_backend(inst, linkage, members)
 
 
 def _eager(run, *args, **kwargs):
-    """``run(*args, **kwargs)`` with the eager radius backend in the engine."""
+    """``run(*args, **kwargs)`` with the reference backends in the engine:
+    the eager radius table and the full-width discrete-radius rows."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_make_backend", _eager_backend)
         return run(*args, **kwargs)
@@ -501,19 +593,19 @@ def _outcome(run, *args, **kwargs):
         return (err.step_index, err.scripted_cost, err.true_minimum, str(err))
 
 
-def _assert_radius_matches_eager(inst, script=None, stop_at_k=None):
-    """Lazy and eager radius linkage agree step for step, with bit-equal
-    costs, on a free run, its tie margin, and a scripted run."""
-    free = agglomerate(inst, Problem.RADIUS)
-    assert free.steps == _eager(agglomerate, inst, Problem.RADIUS).steps
-    assert (greedy_tie_margin(inst, Problem.RADIUS)
-            == _eager(greedy_tie_margin, inst, Problem.RADIUS))
+def _assert_matches_eager(inst, problem, script=None, stop_at_k=None):
+    """The engine's backend and the reference backend agree step for step,
+    with bit-equal costs, on a free run, its tie margin, and a scripted
+    run.  ``repr`` round-trips every float, so equal reprs are equal bits."""
+    free = agglomerate(inst, problem)
+    assert repr(free.steps) == repr(_eager(agglomerate, inst, problem).steps)
+    assert repr(greedy_tie_margin(inst, problem)) == repr(_eager(greedy_tie_margin, inst, problem))
     if script is None:
         replayed = free.steps[:len(inst) - (stop_at_k or 1)]
         script = MergeScript(tuple((s.id_a, s.id_b) for s in replayed))
-    lazy = _outcome(agglomerate, inst, Problem.RADIUS, script=script, stop_at_k=stop_at_k)
-    assert lazy == _eager(_outcome, agglomerate, inst, Problem.RADIUS,
-                          script=script, stop_at_k=stop_at_k)
+    engine_run = _outcome(agglomerate, inst, problem, script=script, stop_at_k=stop_at_k)
+    assert repr(engine_run) == repr(_eager(_outcome, agglomerate, inst, problem,
+                                           script=script, stop_at_k=stop_at_k))
 
 
 def _count_engine_radius_calls(monkeypatch):
@@ -572,7 +664,7 @@ def test_engine_matches_brute_force_reference(monkeypatch):
                         assert agglomerate(inst, problem).steps == steps
                         assert greedy_tie_margin(inst, problem) == margin
                         if problem is Problem.RADIUS and norm is L2 and d > 1:
-                            _assert_radius_matches_eager(inst, stop_at_k=3)
+                            _assert_matches_eager(inst, Problem.RADIUS, stop_at_k=3)
                         checked += 1
     assert checked == 106
     # only l2 radius runs in d > 1 call the ball solver
@@ -612,7 +704,7 @@ def test_lazy_radius_linkage_matches_eager_property(inst, data):
     extra = tuple(data.draw(st.lists(st.sampled_from(live), min_size=2, max_size=2, unique=True)))
     script = MergeScript(tuple((s.id_a, s.id_b) for s in free.steps[:j]) + (extra,))
     stop_at_k = data.draw(st.integers(1, n - j - 1))
-    _assert_radius_matches_eager(inst, script, stop_at_k)
+    _assert_matches_eager(inst, Problem.RADIUS, script, stop_at_k)
 
 
 def test_lazy_radius_linkage_matches_eager_on_the_benchmark_instance(monkeypatch):
@@ -701,7 +793,7 @@ def test_general_p_radius_linkage_is_lazy_and_matches_eager(monkeypatch):
             del calls[:]
             agglomerate(inst, Problem.RADIUS)
             assert len(calls) == 11
-            _assert_radius_matches_eager(inst)
+            _assert_matches_eager(inst, Problem.RADIUS)
 
 
 def test_radius_linkage_l1_integer_draw_finishes():
@@ -745,6 +837,66 @@ def test_radius_linkage_by_spans_matches_ball_solver(monkeypatch):
         assert agglomerate(inst, Problem.RADIUS).steps == steps
         assert greedy_tie_margin(inst, Problem.RADIUS) == margin
     assert calls == []
+
+
+def _discrete_radius_cases():
+    """Uniform draws, integer grids with duplicates, and draws scaled by
+    1e200, whose powered distances overflow to inf for p > 1, under five
+    norms in d = 1-3, at n = 2-64."""
+    sizes = (2, 3, 5, 8, 13, 21, 34, 64)
+    cases = []
+    for d in (1, 2, 3):
+        for j, norm in enumerate((L1, L2, LINF, Norm(1.5), Norm(3.0))):
+            seed = 10 * d + j
+            uniform = gen_random("uniform_cube", n=sizes[seed % 8], d=d, norm=norm, seed=1300 + seed)
+            ints = np.random.default_rng(seed).integers(0, 3, size=(sizes[(seed + 3) % 8], d))
+            huge = gen_random("uniform_cube", n=sizes[(seed + 5) % 8], d=d, norm=norm, seed=1400 + seed)
+            cases += [
+                uniform,
+                Instance.from_points("ints", ints.astype(float).tolist(), norm),
+                Instance.from_points("huge", [tuple(1e200 * x for x in p) for p in huge.points], norm),
+            ]
+    return cases
+
+
+def test_discrete_radius_rows_over_members_match_the_full_width_reference(monkeypatch):
+    # the engine costs a merged row from the merged cluster's members and
+    # each point's eccentricity to its own cluster; the reference takes the
+    # max/min over all n points.  Free runs, tie margins, runs stopped at
+    # k = 3 and scripted prefixes, then the last two live ids, which may be
+    # refused, agree bit for bit.  After every row, ``label`` maps each
+    # member of a live slot or of the merged one to its slot, and ``own``
+    # holds each point's entry in its own slot's eccentricity vector
+    row = engine._EccentricityCosts._row
+    rows = []
+
+    def checked_row(table, lo, hi):
+        out = row(table, lo, hi)
+        for slot in np.flatnonzero(table.live).tolist() + [lo]:
+            assert (table.label[list(table.members[slot])] == slot).all()
+        n = len(table.own)
+        assert np.array_equal(table.own, table.ecc[table.label, np.arange(n)])
+        rows.append(lo)
+        return out
+
+    monkeypatch.setattr(engine._EccentricityCosts, "_row", checked_row)
+    problem = Problem.DISCRETE_RADIUS
+    cases = _discrete_radius_cases()
+    cases.append(gen_random("uniform_cube", n=128, d=2, norm=L2, seed=103))
+    assert len(cases) == 46 and {len(inst) for inst in cases} >= {2, 64, 128}
+    for inst in cases:
+        n = len(inst)
+        _assert_matches_eager(inst, problem)
+        if n > 3:
+            _assert_matches_eager(inst, problem, stop_at_k=3)
+        free = agglomerate(inst, problem)
+        j = n // 2
+        prefix = tuple((s.id_a, s.id_b) for s in free.steps[:j])
+        live = sorted(set(range(n + j)) - {i for s in free.steps[:j] for i in s[:2]})
+        for script in (prefix, prefix + (tuple(live[-2:]),)):
+            if len(script) < n:
+                _assert_matches_eager(inst, problem, MergeScript(script))
+    assert rows
 
 
 def test_dendrogram_text_format():
