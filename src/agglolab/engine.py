@@ -43,8 +43,6 @@ from .metrics import (
     Cluster,
     Instance,
     Problem,
-    _BLOCK_ELEMENTS,
-    _powered_norms,
     powered_matrix,
     radius,
     unpower_array,
@@ -604,40 +602,29 @@ def agglomerate_nn_chain(inst: Instance) -> MergeHistory:
     naive loop's lexicographic one; its replay still has nested levels and
     nondecreasing costs.
 
-    The distances go to scipy as its condensed vector, which is filled a
-    block of rows at a time with no n x n matrix: each block costs only the
-    pairs after its first row's diagonal, column by column through the one
-    term kernel of :mod:`agglolab.metrics`, so every entry equals
-    ``powered_distance`` bit for bit.  Where some powered distance overflows
-    to inf, which scipy rejects, the run is the naive loop's.
+    The distances go to scipy as its condensed vector, built by
+    ``scipy.spatial.distance.pdist(coords, "minkowski", p=p)``, whose kernel
+    equals ``unpower_array(powered_matrix(inst), inst.norm)`` bit for bit,
+    so the linkage heights are the reported costs.  Where some distance
+    overflows to inf, which ``linkage`` rejects, the run is the naive
+    loop's.
     """
     # imported here: scipy.cluster adds about 24 MB to any process that loads it
     from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import pdist
 
     n = len(inst.points)
     if n <= 1:
         return MergeHistory(instance=inst, linkage=Problem.DIAMETER, steps=())
-    # scipy's condensed vector: row i's entries after the diagonal, row after
-    # row.  Rows start..stop-1 against columns start+1.. form one block; the
-    # entries on or above its diagonal are the rows' condensed segment, in
-    # row-major order
-    condensed = np.empty(n * (n - 1) // 2)
-    cols = np.ascontiguousarray(inst.coords().T)
-    rows = max(1, min(n - 1, _BLOCK_ELEMENTS // n))
-    upper = np.arange(n - 1) >= np.arange(rows)[:, None]
-    for start in range(0, n - 1, rows):
-        stop = min(start + rows, n - 1)
-        block = _powered_norms((c[start:stop, None] - c[start + 1:] for c in cols), inst.norm)
-        segment = condensed[start * (2 * n - start - 1) // 2:stop * (2 * n - stop - 1) // 2]
-        segment[:] = block[upper[:stop - start, :n - start - 1]]
-        if segment.max() == math.inf:
-            # scipy rejects an infinite distance; pairs whose distance
-            # overflows all tie at inf, and the naive loop breaks such ties
-            return agglomerate(inst, Problem.DIAMETER)
+    condensed = pdist(inst.coords(), "minkowski", p=inst.norm.p)
+    if condensed.max() == math.inf:
+        # pairs whose distance overflows all tie at inf, and the naive loop
+        # breaks such ties
+        return agglomerate(inst, Problem.DIAMETER)
     z = linkage(condensed, method="complete")
     pairs = z[:, :2].astype(int).tolist()
     sizes = z[:, 3].astype(int).tolist()
-    costs = unpower_array(z[:, 2], inst.norm).tolist()
+    costs = z[:, 2].tolist()
 
     # scipy numbers the cluster made by row i as n + i, and its rows are in
     # an order where operands come first, so member minima, heap keys, the

@@ -190,14 +190,14 @@ def evaluate(
     )
 
 
-def evaluate_case(case: GeneratedCase, problem: Problem | None = None) -> RatioReport:
+def evaluate_case(case: GeneratedCase) -> RatioReport:
     """Evaluate a generated case with its script and expected optimum."""
     if case.expected is None:
         raise ValueError("case carries no expected outcome; call evaluate() directly")
     exp = case.expected
     return evaluate(
         case.instance,
-        problem if problem is not None else exp.problem,
+        exp.problem,
         exp.k,
         script=case.script,
         opt_hint=exp.opt_cost,

@@ -116,20 +116,20 @@ class Instance:
             raise ValueError("dim must be a positive integer")
         if len(self.points) < 1:
             raise ValueError("instance needs at least one point")
-        pts = tuple(tuple(float(c) for c in p) for p in self.points)
+        pts = tuple(tuple(map(float, p)) for p in self.points)
         for i, p in enumerate(pts):
             if len(p) != self.dim:
                 raise ValueError(f"point {i} has {len(p)} coordinates, expected {self.dim}")
-            if not all(math.isfinite(c) for c in p):
+            if not all(map(math.isfinite, p)):
                 raise ValueError(f"point {i} has a non-finite coordinate")
         object.__setattr__(self, "points", pts)
 
     @classmethod
     def from_points(cls, name: str, points: Iterable[Sequence[float]], norm: Norm) -> "Instance":
-        pts = tuple(tuple(float(c) for c in p) for p in points)
-        if not pts:
-            raise ValueError("instance needs at least one point")
-        return cls(name=name, dim=len(pts[0]), norm=norm, points=pts)
+        # the rows pass through: __post_init__ converts and checks them, and
+        # rejects an empty list whatever dim says
+        pts = tuple(points)
+        return cls(name=name, dim=len(pts[0]) if pts else 1, norm=norm, points=pts)
 
     def __len__(self) -> int:
         return len(self.points)

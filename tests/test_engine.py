@@ -27,7 +27,7 @@ from agglolab import (
 )
 from agglolab.engine import TIE_ABS_TOL, TIE_REL_TOL, tie_width
 from agglolab.forge import gen_line_1d, gen_linf_2d, gen_random
-from agglolab.metrics import powered_matrix, unpower, unpower_array
+from agglolab.metrics import powered_matrix, unpower_array
 from agglolab.oracles import optimal_by_partition_enum, optimal_diameter_1d
 
 
@@ -279,16 +279,14 @@ def test_one_pass_with_margins_gives_the_history_and_the_tie_margin(problem):
         assert min(margins, default=math.inf) == greedy_tie_margin(inst, problem)
 
 
-def test_nn_chain_fills_scipys_condensed_vector_row_block_by_row_block(monkeypatch):
-    # n = 520 spans at least four row blocks of the condensed fill: the
-    # vector handed to scipy equals the full powered matrix's condensed form
-    # bit for bit under every norm, the costs equal scipy's linkage on it,
-    # and on a tie-free draw the steps equal the naive loop's
+def test_nn_chain_hands_scipy_the_rooted_distances_and_reports_its_heights(monkeypatch):
+    # the vector handed to scipy equals the rooted powered matrix's
+    # condensed form bit for bit under every norm, the costs are the
+    # heights of scipy's linkage on it, and on a tie-free draw the steps
+    # equal the naive loop's
     import scipy.cluster.hierarchy
     from scipy.spatial.distance import squareform
 
-    n = 520
-    assert -(-(n - 1) // (engine._BLOCK_ELEMENTS // n)) >= 4
     linkage = scipy.cluster.hierarchy.linkage
     handed = []
 
@@ -298,16 +296,35 @@ def test_nn_chain_fills_scipys_condensed_vector_row_block_by_row_block(monkeypat
 
     monkeypatch.setattr(scipy.cluster.hierarchy, "linkage", capture)
     for norm in (L1, L2, LINF, Norm(1.5), Norm(3.0)):
-        inst = gen_random("uniform_cube", n=n, d=2, norm=norm, seed=8)
+        inst = gen_random("uniform_cube", n=520, d=2, norm=norm, seed=8)
         chain = agglomerate_nn_chain(inst)
-        condensed = squareform(powered_matrix(inst), checks=False)
+        condensed = squareform(unpower_array(powered_matrix(inst), norm), checks=False)
         assert handed.pop().tobytes() == condensed.tobytes()
         z = linkage(condensed, method="complete")
-        assert sorted(s.cost for s in chain.steps) == sorted(
-            unpower(h, norm) for h in z[:, 2].tolist())
+        assert sorted(s.cost for s in chain.steps) == sorted(z[:, 2].tolist())
         if norm == L2:
             assert greedy_tie_margin(inst, Problem.DIAMETER) > 1e-6
             assert chain.steps == agglomerate(inst, Problem.DIAMETER).steps
+
+
+@pytest.mark.parametrize("norm", [L1, Norm(1.5), L2, Norm(3.0), Norm(7.0), LINF])
+def test_pdist_minkowski_equals_the_rooted_powered_matrix_bit_for_bit(norm):
+    # the NN chain's distances come from scipy's minkowski kernel; the
+    # naive loop's from powered_matrix and unpower_array.  They agree bit
+    # for bit from subnormal to overflowing scales, on integer ties and in
+    # d = 1..11, and an overflow is inf without a warning on both sides
+    from scipy.spatial.distance import pdist, squareform
+
+    rng = np.random.default_rng(31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in range(1, 12):
+            for scale in (1e-320, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e300):
+                for pts in (rng.random((24, d)), rng.integers(-3, 4, size=(24, d)).astype(float)):
+                    inst = Instance.from_points("scaled", (pts * scale).tolist(), norm)
+                    rooted = squareform(unpower_array(powered_matrix(inst), norm), checks=False)
+                    kernel = pdist(inst.coords(), "minkowski", p=norm.p)
+                    assert kernel.tobytes() == rooted.tobytes()
 
 
 def test_nn_chain_on_exact_ties_is_a_valid_greedy_run():
@@ -331,7 +348,7 @@ def _reference_replay(z, inst):
     reference for ``agglomerate_nn_chain``'s replay."""
     n = len(inst)
     pairs = z[:, :2].astype(int).tolist()
-    costs = [unpower(h, inst.norm) for h in z[:, 2].tolist()]
+    costs = z[:, 2].tolist()
     mins = list(range(n)) + [0] * (n - 1)
     consumer = {}
     for i, (a, b) in enumerate(pairs):

@@ -570,6 +570,35 @@ def test_euclidean_ball_makes_few_pivot_passes_and_solves(monkeypatch):
     assert not ball.approximate
 
 
+@pytest.mark.parametrize("boundary, center, r2", [
+    # collinear: the closed-form 2 x 2 determinant is 0, so lstsq solves a
+    # system with no exact solution
+    ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [0.9, 0.9], 2.42),
+    # coplanar in 3-d: elimination meets a zero pivot, so lstsq solves a
+    # system with many exact solutions, all giving the square's center
+    ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]], [0.5, 0.5, 0.0], 0.5),
+])
+def test_circumcenter_falls_back_to_least_squares_on_a_singular_system(
+        monkeypatch, boundary, center, r2):
+    # the least-squares solution gives a finite center, and the squared
+    # radius is the largest squared distance to the boundary
+    lstsq, solves = np.linalg.lstsq, []
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, got_r2 = metrics._circumcenter(boundary)
+    assert solves == [1]
+    assert all(map(math.isfinite, got))
+    assert got_r2 == max(math.dist(q, got) ** 2 for q in boundary)
+    assert got == pytest.approx(center, abs=1e-12)
+    assert got_r2 == pytest.approx(r2, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the grid enclosing-ball oracle against its reference
 
@@ -800,23 +829,6 @@ def test_grid_search_memory_stays_near_one_lattice():
     assert peak < 16e6
 
 
-def _l1_enclosing_radius(points):
-    # min t s.t. sigma . (x_i - c) <= t for every point i and sign vector
-    # sigma, an LP whose optimum is the exact l1 radius
-    from itertools import product
-    from scipy.optimize import linprog
-
-    arr = np.asarray(points, dtype=float)
-    d = arr.shape[1]
-    signs = np.array(list(product((-1.0, 1.0), repeat=d)))
-    rows = np.hstack([np.repeat(-signs, len(arr), axis=0),
-                      -np.ones((len(signs) * len(arr), 1))])
-    rhs = -(signs @ arr.T).ravel()
-    res = linprog(np.eye(d + 1)[-1], A_ub=rows, b_ub=rhs, bounds=[(None, None)] * (d + 1))
-    assert res.status == 0
-    return float(res.fun)
-
-
 @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0, 1e100, 1e154])
 def test_grid_search_is_relative_at_every_scale(scale):
     # an absolute tolerance once left the oracle 1.9 % above Welzl's radius
@@ -831,7 +843,7 @@ def test_grid_search_is_relative_at_every_scale(scale):
         exact = {
             L2: radius(range(n), inst).radius,
             LINF: float((unit.max(axis=0) - unit.min(axis=0)).max()) / 2.0 * scale,
-            L1: _l1_enclosing_radius(unit) * scale,
+            L1: _l1_radius_lp(unit) * scale,
         }
         for norm, want in exact.items():
             got = grid_search_enclosing_radius(points, norm)
