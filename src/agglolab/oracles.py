@@ -7,11 +7,12 @@ Three independent routes to an optimum:
   works for all three cost functions.
 * ``optimal_discrete_kcenter``   -- the least pairwise distance within
   which k of the points cover all of them, by a descent from the cost of
-  the farthest-first centers: each cover found, re-centred, sets the next
-  threshold, and the first threshold refuted ends the search.  Each
-  threshold is decided by an exact search over cover bitmasks that a
-  packing bound prunes, within a budget of search nodes; exact for the
-  member-centered radius cost.
+  the farthest-first centers, re-centred and improved by single swaps:
+  each cover found, re-centred, sets the next threshold, and the first
+  threshold refuted ends the search.  Each threshold is decided by an
+  exact search over cover bitmasks that branches on the uncovered point
+  with the fewest coverers and that a packing bound prunes, within a
+  budget of search nodes; exact for the member-centered radius cost.
 * ``optimal_diameter_1d``        -- sort + greedy interval cover with an
   exact bisection over candidate spans, whose ends snap to spans that a
   cover certifies; exact for the diameter cost in dimension 1, where
@@ -313,16 +314,20 @@ def _search_steps() -> Iterator[None]:
 
 
 def _cover_centers(covers: np.ndarray, k: int, steps: Iterator[None]) -> list[int] | None:
-    """At most k centers that together cover every point, where
-    ``covers[p, c]`` says that center c covers point p; None if none do.
+    """At most k centers that together cover every point, where each row
+    of ``covers`` is a point and ``covers[r, c]`` says that center c covers
+    the point of row r; None if none do.  The columns are the center ids,
+    and the rows may come in any order: :func:`optimal_discrete_kcenter`
+    puts the points with the fewest coverers first.
 
     A depth-first search over cover bitmasks: some center covers the lowest
-    uncovered point, so branching on the centers that cover it misses no
-    cover.  ``failed`` maps each uncovered set searched in vain to the
-    largest number of centers it failed with.  A packing bound prunes a set
-    before it is searched, and the full set before the first branch:
-    uncovered points no two of which share a coverer need a center each,
-    and a greedy walk from the lowest uncovered point, dropping the points
+    uncovered point, the one in the lowest row, so branching on the centers
+    that cover it misses no cover.  ``failed`` maps each uncovered set
+    searched in vain to the largest number of centers it failed with.  A
+    packing bound prunes a set before it is searched, and the full set
+    before the first branch: uncovered points no two of which share a
+    coverer need a center each, and a greedy walk from the lowest
+    uncovered point, dropping the points
     that share a coverer with each point taken, finds such points.  The
     bound only drops sets that no centers left can cover, so the search
     meets the same first cover as without it.  Branch lists and each
@@ -410,16 +415,52 @@ def _recentred(dpow: np.ndarray, centers: Sequence[int]) -> tuple[np.ndarray, fl
     return moved, float(dpow[:, moved].min(axis=1).max())
 
 
+def _swapped(dpow: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
+    """A cover improved by single swaps, and its powered cost.
+
+    The center slots are visited in turn, round and round: the point that
+    lowers the cover's cost the most (the lowest id among equals) replaces
+    a slot's center if it lowers the cost strictly, and the search stops
+    once every slot has been tried since the last swap.  A point that is
+    already a center never lowers the cost, so the centers stay distinct.
+    """
+    centers = centers.copy()
+    near = dpow[:, centers]  # column j: each point's distance to center j
+    cost = float(near.min(axis=1).max())
+    idle, slot = 0, 0  # the slots tried since the last swap, the next slot
+    while idle < len(centers) and cost > 0:  # a cover of cost 0 cannot improve
+        near[:, slot] = np.inf
+        costs = np.minimum(dpow, near.min(axis=1, keepdims=True)).max(axis=0)  # per candidate
+        best = int(costs.argmin())
+        if costs[best] < cost:
+            centers[slot], cost, idle = best, float(costs[best]), 0
+        near[:, slot] = dpow[:, centers[slot]]
+        idle += 1
+        slot = (slot + 1) % len(centers)
+    return centers, cost
+
+
+def _fewest_coverers_first(covers: np.ndarray) -> np.ndarray:
+    """``covers`` with its rows (points) reordered by their number of
+    coverers, fewest first and by id among equals; the columns (center ids)
+    stay as they are."""
+    return covers[np.argsort(covers.sum(axis=1), kind="stable")]
+
+
 def optimal_discrete_kcenter(inst: Instance, k: int) -> OracleResult:
     """Exact optimum of the member-centered radius cost by a threshold search.
 
     The optimum is a pairwise distance (Hochbaum & Shmoys 1985).  The
     search descends the distinct powered distances from the cost of the k
-    farthest-first centers (Gonzalez 1985): it decides only the value just
-    below the best cover's cost, by a depth-first search over cover
-    bitmasks with a packing bound, and each cover found, re-centred on its
-    blocks' best members, sets the next value.  So the first refuted value
-    ends the search, and a call refutes at most once.  The searches of all
+    farthest-first centers (Gonzalez 1985), re-centred and then improved
+    by single swaps: it decides only the value just below the best cover's
+    cost, by a depth-first search over cover bitmasks with a packing bound,
+    and each cover found, re-centred on its blocks' best members, sets the
+    next value.  So the first refuted value ends the search, and a call
+    refutes at most once.  Each decision orders the points fewest coverers
+    first, so the search branches on the uncovered point with the fewest
+    options (Knuth's Dancing Links, 2000); every point has a coverer, so
+    branching on any one of them misses no cover.  The searches of all
     thresholds share ``CENTER_SEARCH_NODES`` steps, and the call raises
     :class:`SizeLimitError` past them.  The witness assigns each point to
     its nearest center, padded with the smallest other ids to k centers;
@@ -432,11 +473,11 @@ def optimal_discrete_kcenter(inst: Instance, k: int) -> OracleResult:
     # overflows (np.unique would import numpy.ma on first use, 6 ms)
     vals = np.sort(dpow, axis=None)
     vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
-    centers, cost = _recentred(dpow, _farthest_first(dpow, k))
+    centers, cost = _swapped(dpow, _recentred(dpow, _farthest_first(dpow, k))[0])
     hi = int(np.searchsorted(vals, cost))  # a cover's cost is one of the values
     steps = _search_steps()  # shared by every threshold
     while hi:
-        found = _cover_centers(dpow <= vals[hi - 1], k, steps)
+        found = _cover_centers(_fewest_coverers_first(dpow <= vals[hi - 1]), k, steps)
         if found is None:
             break
         centers, cost = _recentred(dpow, found)

@@ -346,7 +346,8 @@ def test_discrete_kcenter_pruning_keeps_the_unpruned_result(monkeypatch):
 def _bisected_discrete_kcenter(inst, k):
     """The threshold search as a plain bisection: the distinct powered
     distances up to the farthest-first cost, each threshold decided by the
-    cover search.  The reference that the descent's cost must equal."""
+    cover search on the rows the descent orders, fewest coverers first.
+    The reference that the descent's cost must equal."""
     dpow = powered_matrix(inst)
     vals = np.unique(dpow)
     centers = oracles._farthest_first(dpow, k)
@@ -354,7 +355,8 @@ def _bisected_discrete_kcenter(inst, k):
     steps = oracles._search_steps()
     while lo < hi:
         mid = (lo + hi) // 2
-        if oracles._cover_centers(dpow <= vals[mid], k, steps) is None:
+        covers = oracles._fewest_coverers_first(dpow <= vals[mid])
+        if oracles._cover_centers(covers, k, steps) is None:
             lo = mid + 1
         else:
             hi = mid
@@ -416,9 +418,8 @@ def _bisected_diameter_1d(inst, k):
 
 def _threshold_corpus():
     """24 instances at n = 20-130, d = 1-3, four norms: uniform, blobs, and
-    integer grids with exact ties and duplicates; each with its levels k,
-    2-6, but 2-4 past n = 75 in the plane and in space, where a level of 5
-    or 6 can take the plain bisection seconds."""
+    integer grids with exact ties and duplicates; each with the levels k =
+    2-6."""
     norms = (L1, L2, LINF, Norm(1.5))
     for t in range(24):
         n, d, norm = 20 + 110 * t // 23, 1 + t % 3, norms[t % 4]
@@ -429,7 +430,7 @@ def _threshold_corpus():
         else:
             inst = gen_random(("uniform_cube", "gaussian_blobs")[kind], n=n, d=d, norm=norm,
                               seed=500 + t)
-        yield inst, range(2, 7 if n <= 75 or d == 1 else 5)
+        yield inst, range(2, 7)
 
 
 def test_threshold_oracles_match_their_bisections(monkeypatch):
@@ -455,8 +456,55 @@ def test_threshold_oracles_match_their_bisections(monkeypatch):
             if inst.dim == 1:
                 assert optimal_diameter_1d(inst, k) == _bisected_diameter_1d(inst, k)
             checked += 1
-    assert checked == 104
+    assert checked == 120
     assert max(refuted) == 1
+
+
+def test_discrete_kcenter_reaches_past_the_lowest_id_search():
+    # branching on the lowest uncovered id, the search took 952,311 steps
+    # here at k = 5 and was refused at k = 6 after 10**6
+    inst = gen_random("uniform_cube", n=115, d=3, norm=L1, seed=720)
+    for k in (5, 6):
+        res = optimal_discrete_kcenter(inst, k)
+        assert repr(res.opt_cost) == repr(_bisected_discrete_kcenter(inst, k)), k
+        assert max(discrete_radius(c, inst)[0] for c in res.partition) == res.opt_cost
+
+
+def test_discrete_kcenter_uniform_200_6_fits_a_tenth_of_the_budget(monkeypatch):
+    # refused after 10**6 steps when the search branched on the lowest
+    # uncovered id from an unswapped start; now about 21,000 steps
+    inst = gen_random("uniform_cube", n=200, d=2, norm=L2, seed=1)
+    want = _bisected_discrete_kcenter(inst, 6)
+    monkeypatch.setattr(oracles, "CENTER_SEARCH_NODES", 100_000)
+    res = optimal_discrete_kcenter(inst, 6)
+    assert repr(res.opt_cost) == repr(want)
+    assert max(discrete_radius(c, inst)[0] for c in res.partition) == res.opt_cost
+
+
+@st.composite
+def _coverage(draw):
+    """A boolean coverage matrix in which every point covers itself, and a
+    number of centers k <= 4."""
+    n = draw(st.integers(1, 10))
+    cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    covers = np.array(cells, dtype=bool).reshape(n, n)
+    np.fill_diagonal(covers, True)
+    return covers, draw(st.integers(1, min(4, n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coverage())
+def test_cover_search_on_reordered_rows_decides_exactly(case):
+    # off the metric case: any coverage with a true diagonal, decided on
+    # the rows reordered fewest coverers first, against every k columns
+    covers, k = case
+    found = oracles._cover_centers(oracles._fewest_coverers_first(covers), k,
+                                   oracles._search_steps())
+    exists = any(covers[:, list(cols)].any(axis=1).all()
+                 for cols in combinations(range(len(covers)), k))
+    assert (found is not None) == exists
+    if found is not None:
+        assert len(found) <= k and covers[:, found].any(axis=1).all()
 
 
 def _crosscheck_corpus():
