@@ -155,13 +155,12 @@ def _farthest_first(dpow: np.ndarray, count: int) -> list[int]:
     The picks are distinct: once every point lies on a pick, the next is the
     first point not picked yet."""
     order = [0]
-    nearest = dpow[0].copy()
-    free = np.ones(len(dpow), dtype=bool)
-    free[0] = False
+    nearest = dpow[0].copy()  # -1 marks a pick: below every distance, so it stays
+    nearest[0] = -1.0
     for _ in range(count - 1):
-        order.append(int(np.where(free, nearest, -1.0).argmax()))
-        free[order[-1]] = False
-        nearest = np.minimum(nearest, dpow[order[-1]])
+        order.append(int(nearest.argmax()))
+        np.minimum(nearest, dpow[order[-1]], out=nearest)
+        nearest[order[-1]] = -1.0
     return order
 
 
@@ -415,8 +414,9 @@ def _recentred(dpow: np.ndarray, centers: Sequence[int]) -> tuple[np.ndarray, fl
     return moved, float(dpow[:, moved].min(axis=1).max())
 
 
-def _swapped(dpow: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
-    """A cover improved by single swaps, and its powered cost.
+def _swapped(dpow: np.ndarray, centers: np.ndarray, cost: float) -> tuple[np.ndarray, float]:
+    """A cover of powered cost ``cost`` improved by single swaps, and the
+    powered cost of the result.
 
     The center slots are visited in turn, round and round: the point that
     lowers the cover's cost the most (the lowest id among equals) replaces
@@ -426,7 +426,6 @@ def _swapped(dpow: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
     """
     centers = centers.copy()
     near = dpow[:, centers]  # column j: each point's distance to center j
-    cost = float(near.min(axis=1).max())
     idle, slot = 0, 0  # the slots tried since the last swap, the next slot
     while idle < len(centers) and cost > 0:  # a cover of cost 0 cannot improve
         near[:, slot] = np.inf
@@ -473,7 +472,7 @@ def optimal_discrete_kcenter(inst: Instance, k: int) -> OracleResult:
     # overflows (np.unique would import numpy.ma on first use, 6 ms)
     vals = np.sort(dpow, axis=None)
     vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
-    centers, cost = _swapped(dpow, _recentred(dpow, _farthest_first(dpow, k))[0])
+    centers, cost = _swapped(dpow, *_recentred(dpow, _farthest_first(dpow, k)))
     hi = int(np.searchsorted(vals, cost))  # a cover's cost is one of the values
     steps = _search_steps()  # shared by every threshold
     while hi:
@@ -488,7 +487,7 @@ def optimal_discrete_kcenter(inst: Instance, k: int) -> OracleResult:
     for slot, c in enumerate(centers):
         assignment[c] = slot  # a center always claims itself (duplicates)
     blocks = [[] for _ in centers]
-    for p, slot in enumerate(assignment):
+    for p, slot in enumerate(assignment.tolist()):
         blocks[slot].append(p)
     return OracleResult(
         problem=Problem.DISCRETE_RADIUS,
