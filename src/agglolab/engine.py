@@ -519,32 +519,43 @@ def _greedy(
                     f"minimum merge cost is {best:.12g}",
                 )
         else:
-            # the least tied slot pair (lo, hi) in row-major order: the
-            # table is symmetric, so a row's tied partners are in-band rows
-            # too, and lo is the first in-band row and hi its first in-band
-            # column.  The inf entries of dead slots pass only an infinite
-            # band, and there every pair passes: the pick is the first two
-            # live slots, and no entry lies above the band
-            rows = rowmin <= band
+            # the least tied slot pair (lo, hi) in row-major order, read
+            # from the in-band rows R in slot order: the table is
+            # symmetric, so a row's tied partners are rows of R too.  lo is
+            # the first of R, and hi the other one when R has two, else
+            # lo's first in-band column.  The inf entries of dead slots
+            # pass only an infinite band, and there every pair passes: the
+            # pick is the first two live slots, and no entry lies above the
+            # band
             if band < math.inf:
-                lo = int(rows.argmax())
-                hi = lo + 1 + int((m[lo, lo + 1:] <= band).argmax())
+                outside = rowmin > band
+                rows = (~outside).nonzero()[0].tolist()
+                lo = rows[0]
+                if len(rows) == 2:
+                    hi = rows[1]
+                else:
+                    hi = lo + 1 + int((m[lo, lo + 1:] <= band).argmax())
             else:
                 lo, hi = np.flatnonzero(live)[:2].tolist()
             cost = float(m[lo, hi])
             if margins is not None:
-                # the smallest entry above the band is a row minimum, or an
-                # entry of a row whose minimum is in the band; it is settled
+                # the least entry above the band: an entry m[i, j] above it
+                # with j outside R is at least rowmin[j], itself an entry
+                # above the band, so it is the least of rowmin outside R and
+                # of the entries above the band in the R x R block, which
+                # holds only the picked pair when R has two.  It is settled
                 # like the band, and costing entries above the band leaves
-                # the band's rows as they are
-                while True:
-                    sub = m[rows]
-                    above = min(np.minimum.reduce(rowmin, initial=math.inf, where=rowmin > band),
-                                np.minimum.reduce(sub, axis=None, initial=math.inf,
-                                                  where=sub > band))
-                    if above == math.inf or not table.settle_to(float(above)):
+                # R as it is
+                above = math.inf
+                while band < math.inf:
+                    above = float(np.minimum.reduce(rowmin, initial=math.inf, where=outside))
+                    if len(rows) > 2:
+                        block = m[np.ix_(rows, rows)]
+                        above = min(above, float(np.minimum.reduce(
+                            block, axis=None, initial=math.inf, where=block > band)))
+                    if above == math.inf or not table.settle_to(above):
                         break
-                margins.append(float(above) - best if above < math.inf else math.inf)
+                margins.append(above - best if above < math.inf else math.inf)
 
         a, b = sorted((slot_id[lo], slot_id[hi]))
         new_id = n + t
@@ -579,8 +590,10 @@ def agglomerate(
 
 def greedy_tie_margin(inst: Instance, linkage: Problem = Problem.DIAMETER) -> float:
     """Smallest gap, over all steps of a lexicographic run, between the best
-    merge cost and the best strictly-worse one.  Zero or tiny values mean the
-    instance has ties; used to certify tie-free test instances."""
+    merge cost and the least cost above its tie band (inf when no cost lies
+    above the band).  Costs within the band count as tied and leave no gap,
+    so tiny values mean the instance has near-ties; used to certify tie-free
+    test instances."""
     margins: list[float] = []
     _greedy(inst, linkage, None, None, margins=margins)
     return min(margins) if margins else math.inf

@@ -688,6 +688,98 @@ def test_engine_matches_brute_force_reference(monkeypatch):
     assert calls
 
 
+def _reference_band_scan(inst, problem):
+    """The free greedy loop on the engine's backends, with the pick and the
+    tie margin that scan every in-band row in full: lo is the first in-band
+    row and hi its first in-band column, and the margin is the least of the
+    row minima above the band and of every entry above the band in an
+    in-band row, settled like the band.  The reference for the engine's
+    reading of the band as the set R of in-band rows.  Returns the steps,
+    the per-step margins and the number of steps at which R held more than
+    two rows."""
+    n = len(inst)
+    members = [(i,) for i in range(n)]
+    slot_id = list(range(n))
+    table = engine._make_backend(inst, problem, members)
+    m, rowmin, live = table.m, table.rowmin, table.live
+    steps, margins, wide = [], [], 0
+    for t in range(n - 1):
+        while True:
+            best = float(rowmin[rowmin.argmin()])
+            band = best + tie_width(best)
+            if not table.settle_to(band):
+                break
+        rows = rowmin <= band
+        wide += int(rows.sum()) > 2
+        if band < math.inf:
+            lo = int(rows.argmax())
+            hi = lo + 1 + int((m[lo, lo + 1:] <= band).argmax())
+        else:
+            lo, hi = np.flatnonzero(live)[:2].tolist()
+        cost = float(m[lo, hi])
+        while True:
+            sub = m[rows]
+            above = min(np.minimum.reduce(rowmin, initial=math.inf, where=rowmin > band),
+                        np.minimum.reduce(sub, axis=None, initial=math.inf, where=sub > band))
+            if above == math.inf or not table.settle_to(float(above)):
+                break
+        margins.append(float(above) - best if above < math.inf else math.inf)
+        a, b = sorted((slot_id[lo], slot_id[hi]))
+        members[lo] += members[hi]
+        steps.append(MergeStep(a, b, cost, n + t, len(members[lo])))
+        slot_id[lo] = n + t
+        if t + 1 < n - 1:
+            table.merge(lo, hi)
+    return tuple(steps), margins, wide
+
+
+def test_band_rows_pick_and_margin_match_the_full_scan_reference():
+    # steps and per-step margins equal the full scan's bit for bit: on
+    # integer grids and draws, where R often holds more than two rows; on
+    # uniform draws under l1, l2 and l_inf for every linkage, which take
+    # the lazy radius backend under l1 and l2 in d > 1; on lp1.5 radius
+    # runs; and where every entry is inf, so the band is infinite
+    grid = [(float(x), float(y)) for x in range(4) for y in range(4)]
+    cases = [Instance.from_points("grid", grid, norm) for norm in (L1, L2, LINF)]
+    for d in (1, 2, 3):
+        for seed in range(3):
+            ints = np.random.default_rng(70 * d + seed).integers(0, 4, size=(12, d))
+            for norm in (L1, L2, LINF):
+                cases.append(Instance.from_points("ints", ints.astype(float).tolist(), norm))
+                cases.append(gen_random("uniform_cube", n=8 + 4 * seed, d=d, norm=norm,
+                                        seed=730 + 10 * d + seed))
+    cases.append(Instance.from_points(
+        "allinf", [(1e200, 0.0), (-1e200, 0.0), (0.0, 1e200), (0.0, -1e200), (3e200, 1e200)], L2))
+    runs = [(inst, problem) for inst in cases for problem in Problem]
+    runs += [(gen_random("uniform_cube", n=10, d=2, norm=Norm(1.5), seed=760 + seed), Problem.RADIUS)
+             for seed in range(3)]
+    wide = 0
+    for inst, problem in runs:
+        margins = []
+        steps = engine._greedy(inst, problem, None, None, margins=margins)
+        ref_steps, ref_margins, ref_wide = _reference_band_scan(inst, problem)
+        assert repr(tuple(steps)) == repr(ref_steps)
+        assert repr(margins) == repr(ref_margins)
+        wide += ref_wide
+    assert len(runs) == 177
+    assert wide > 500
+    # every squared distance of the last case overflows
+    margins = []
+    steps = engine._greedy(cases[-1], Problem.DIAMETER, None, None, margins=margins)
+    assert {s.cost for s in steps} == set(margins) == {math.inf}
+
+
+def test_tie_margin_decided_by_the_in_band_block():
+    # 0, 1, 3, 4 on a line: both best pairs are in band, so every row is in
+    # R and the first margin, d(1, 3) - 1, comes from the R x R block alone
+    inst = Instance.from_points("pairs", [(0.0,), (1.0,), (3.0,), (4.0,)], L2)
+    margins = []
+    engine._greedy(inst, Problem.DIAMETER, None, None, margins=margins)
+    assert margins == [1.0, 2.0, math.inf]
+    assert _reference_band_scan(inst, Problem.DIAMETER)[1:] == (margins, 1)
+    assert greedy_tie_margin(inst, Problem.DIAMETER) == 1.0
+
+
 @st.composite
 def _l2_cloud(draw):
     """Small l2 instances in d = 2, 3 rich in ties: integer coordinates,
