@@ -2,7 +2,7 @@
 small-instance optima, adversarial instance generators, and a harness that
 checks every claimed approximation ratio mechanically."""
 
-from .bounds import BoundFormula, bound_formula, bound_value
+from .bounds import bound_value, render_bound
 from .engine import (
     MergeHistory,
     MergeScript,
@@ -80,7 +80,7 @@ __all__ = [
     "gen_line_1d", "gen_linf_2d", "gen_l2_3d", "gen_hypercube_l1",
     "hypercube_reference_clusters", "gen_random",
     "read_instance", "read_case", "write_instance", "write_case",
-    "BoundFormula", "bound_value", "bound_formula",
+    "bound_value", "render_bound",
     "RatioReport", "SuiteResult", "evaluate", "evaluate_case",
     "grid_search_enclosing_radius", "verify_suite",
     "__version__",

@@ -19,29 +19,12 @@ and printed as "astronomical".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .metrics import Problem
 
-__all__ = ["BoundFormula", "bound_value", "bound_formula", "render_bound", "LEVELS"]
+__all__ = ["bound_value", "render_bound", "LEVELS"]
 
 LEVELS = ("at-k", "two-k")
-
-
-@dataclass(frozen=True)
-class BoundFormula:
-    problem: Problem
-    k: int
-    d: int
-    level: str
-    value: float
-
-    @property
-    def astronomical(self) -> bool:
-        return math.isinf(self.value)
-
-    def render(self) -> str:
-        return render_bound(self.value)
 
 
 def render_bound(value: float) -> str:
@@ -91,8 +74,3 @@ def bound_value(problem: Problem, k: int, d: int, level: str = "at-k") -> float:
             return base
         return 4.0 * (log_k + 2.0) * (base + 2.0) + 2.0
     raise ValueError(f"unknown problem {problem!r}")
-
-
-def bound_formula(problem: Problem, k: int, d: int, level: str = "at-k") -> BoundFormula:
-    return BoundFormula(problem=problem, k=k, d=d, level=level,
-                        value=bound_value(problem, k, d, level))

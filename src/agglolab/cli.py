@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bounds import LEVELS, bound_formula
+from .bounds import LEVELS, bound_value, render_bound
 from .engine import Problem, ScriptViolationError, agglomerate
 from .forge import (
     ParseError,
@@ -171,9 +171,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    formula = bound_formula(_PROBLEMS[args.problem], args.k, args.dim, args.level)
-    print(f"problem={formula.problem.value} k={formula.k} d={formula.d} "
-          f"level={formula.level} bound={formula.render()}")
+    value = bound_value(_PROBLEMS[args.problem], args.k, args.dim, args.level)
+    print(f"problem={args.problem} k={args.k} d={args.dim} "
+          f"level={args.level} bound={render_bound(value)}")
     return EXIT_OK
 
 

@@ -156,14 +156,17 @@ class MergeHistory:
         costs agree within the band are merged in lexicographic order, so a
         run may record a dip of at most one band width (exactly equal tied
         costs, as on integer coordinates, record no dip at all).  A larger
-        decrease is an error.
+        decrease is an error, as are a finite cost after an infinite one and
+        a nan cost.
         """
         n = self.n
         prev_cost = 0.0
         for t, step in enumerate(self.steps):
             if step.new_id != n + t:
                 raise ValueError(f"step {t}: new cluster id {step.new_id}, expected {n + t}")
-            if step.cost < prev_cost - tie_width(prev_cost):
+            # inf - tie_width(inf) is nan, and no comparison with nan holds
+            floor = math.inf if prev_cost == math.inf else prev_cost - tie_width(prev_cost)
+            if not step.cost >= floor:
                 raise ValueError(
                     f"step {t}: cost {step.cost!r} decreased below previous {prev_cost!r} "
                     f"beyond the tie tolerance"

@@ -2,8 +2,9 @@
 
 Each adversarial generator returns a :class:`GeneratedCase`: the point set,
 a merge script realizing one allowed greedy run that ends badly, and the
-expected numbers (algorithm cost at the target level, the reference optimum
-it is compared against, and the resulting ratio).  Scripts only prescribe
+expected numbers (algorithm cost at the target level and the reference
+optimum it is compared against, an upper bound unless an exact oracle
+confirms it; the ratio is derived from the two).  Scripts only prescribe
 merges that are cost-minimal at their step, so the engine accepts them as
 legitimate runs of the greedy algorithm.
 
@@ -23,7 +24,9 @@ The four constructions:
                             certifying a ratio of at least log2(k)/2.
 
 Instance files are JSON with coordinates serialized as exact decimal doubles
-(round-trips are bit-exact for finite values).
+(round-trips are bit-exact for finite values).  A case's ``expected`` block
+holds ``k``, ``algo_cost``, ``opt_cost`` and ``problem``; older files'
+``opt_is_exact`` and ``ratio`` keys are ignored.
 """
 
 from __future__ import annotations
@@ -72,9 +75,11 @@ class ExpectedOutcome:
     k: int
     algo_cost: float
     opt_cost: float
-    opt_is_exact: bool  # False when opt_cost is only an upper bound on the optimum
-    ratio: float
     problem: Problem
+
+    @property
+    def ratio(self) -> float:
+        return self.algo_cost / self.opt_cost
 
 
 @dataclass(frozen=True)
@@ -154,8 +159,7 @@ def gen_line_1d(n_param: int) -> GeneratedCase:
         instance=inst,
         script=MergeScript(tuple(steps)),
         expected=ExpectedOutcome(
-            k=4, algo_cost=algo, opt_cost=opt, opt_is_exact=True,
-            ratio=algo / opt, problem=Problem.DIAMETER,
+            k=4, algo_cost=algo, opt_cost=opt, problem=Problem.DIAMETER,
         ),
     )
 
@@ -186,8 +190,7 @@ def gen_linf_2d() -> GeneratedCase:
         instance=inst,
         script=MergeScript(((0, 1), (2, 3), (8, 9))),
         expected=ExpectedOutcome(
-            k=4, algo_cost=3.0, opt_cost=1.0, opt_is_exact=True,
-            ratio=3.0, problem=Problem.DIAMETER,
+            k=4, algo_cost=3.0, opt_cost=1.0, problem=Problem.DIAMETER,
         ),
     )
 
@@ -228,8 +231,7 @@ def gen_l2_3d(x: float) -> GeneratedCase:
         instance=inst,
         script=MergeScript(((0, 1), (2, 3), (8, 9), (4, 5))),
         expected=ExpectedOutcome(
-            k=4, algo_cost=algo, opt_cost=2.0, opt_is_exact=True,
-            ratio=algo / 2.0, problem=Problem.DIAMETER,
+            k=4, algo_cost=algo, opt_cost=2.0, problem=Problem.DIAMETER,
         ),
     )
 
@@ -279,8 +281,7 @@ def gen_hypercube_l1(k: int) -> GeneratedCase:
         instance=inst,
         script=MergeScript(tuple(steps)),
         expected=ExpectedOutcome(
-            k=k, algo_cost=algo, opt_cost=2.0, opt_is_exact=False,
-            ratio=algo / 2.0, problem=Problem.DIAMETER,
+            k=k, algo_cost=algo, opt_cost=2.0, problem=Problem.DIAMETER,
         ),
     )
 
@@ -413,8 +414,6 @@ def write_instance(
             "k": expected.k,
             "algo_cost": expected.algo_cost,
             "opt_cost": expected.opt_cost,
-            "opt_is_exact": expected.opt_is_exact,
-            "ratio": expected.ratio,
             "problem": expected.problem.value,
         }
     Path(path).write_text(json.dumps(data, indent=2) + "\n")
@@ -477,8 +476,6 @@ def read_case(path: str | Path) -> GeneratedCase:
                 k=int(raw["k"]),
                 algo_cost=float(raw["algo_cost"]),
                 opt_cost=float(raw["opt_cost"]),
-                opt_is_exact=bool(raw.get("opt_is_exact", True)),
-                ratio=float(raw["ratio"]),
                 problem=Problem(raw["problem"]),
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -144,15 +144,14 @@ def evaluate(
     k: int,
     script: MergeScript | None = None,
     opt_hint: float | None = None,
-    opt_hint_exact: bool = False,
 ) -> RatioReport:
     """Run the greedy algorithm at level k and compare with the optimum.
 
-    The optimum comes from the best applicable exact oracle; failing that,
-    from ``opt_hint`` (flagged as an upper bound unless ``opt_hint_exact``).
-    With an upper bound in the denominator the reported ratio is a certified
-    lower bound on the true ratio.  With neither oracle nor hint the
-    algorithm's own cost stands in as a (vacuous) optimum upper bound.
+    The optimum comes from the best applicable exact oracle, and only then is
+    the row's ``opt_kind`` "exact".  Failing that, ``opt_hint`` stands in as
+    an upper bound on the optimum, so the reported ratio is a certified lower
+    bound on the true ratio.  With neither oracle nor hint the algorithm's own
+    cost stands in as a (vacuous) optimum upper bound.
     """
     t0 = time.perf_counter()
     hist = agglomerate(inst, problem, script=script, stop_at_k=k)
@@ -162,7 +161,7 @@ def evaluate(
     if oracle is not None:
         opt, kind = oracle.opt_cost, "exact"
     elif opt_hint is not None:
-        opt, kind = float(opt_hint), "exact" if opt_hint_exact else "upper-bound"
+        opt, kind = float(opt_hint), "upper-bound"
     else:
         opt, kind = algo, "upper-bound"
     if algo == opt:  # 0 / 0 and inf / inf included
@@ -191,7 +190,7 @@ def evaluate(
 
 
 def evaluate_case(case: GeneratedCase) -> RatioReport:
-    """Evaluate a generated case with its script and expected optimum."""
+    """Evaluate a generated case with its script, its optimum as the hint."""
     if case.expected is None:
         raise ValueError("case carries no expected outcome; call evaluate() directly")
     exp = case.expected
@@ -201,7 +200,6 @@ def evaluate_case(case: GeneratedCase) -> RatioReport:
         exp.k,
         script=case.script,
         opt_hint=exp.opt_cost,
-        opt_hint_exact=exp.opt_is_exact,
     )
 
 

@@ -76,10 +76,17 @@ class Norm:
             return "linf"
         if self.p == int(self.p):
             return f"l{int(self.p)}"
-        return f"lp{self.p:g}"
+        return f"lp{_p_text(self.p)}"
 
     def __repr__(self) -> str:
-        return f"Norm({self.p:g})"
+        return f"Norm({_p_text(self.p)})"
+
+
+def _p_text(p: float) -> str:
+    """``p`` at ``:g`` when that reads back as ``p``, else its full repr, so
+    that labels name one norm each."""
+    short = f"{p:g}"
+    return short if float(short) == p else repr(float(p))
 
 
 L1 = Norm(1.0)

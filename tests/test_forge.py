@@ -255,6 +255,27 @@ def test_case_file_round_trip(tmp_path):
     assert back.expected == case.expected
 
 
+def test_case_file_without_ratio_or_exactness_is_written_and_reads(tmp_path):
+    path = tmp_path / "case.json"
+    write_case(gen_linf_2d(), path)
+    assert json.loads(path.read_text())["expected"] == {
+        "k": 4, "algo_cost": 3.0, "opt_cost": 1.0, "problem": "diameter"}
+    exp = read_case(path).expected
+    assert exp == ExpectedOutcome(k=4, algo_cost=3.0, opt_cost=1.0, problem=Problem.DIAMETER)
+    assert exp.ratio == 3.0
+
+
+def test_older_case_file_with_ratio_and_exactness_reads_and_ignores_them(tmp_path):
+    path = tmp_path / "case.json"
+    write_case(gen_linf_2d(), path)
+    data = json.loads(path.read_text())
+    data["expected"].update(opt_is_exact=False, ratio=99.0)
+    path.write_text(json.dumps(data))
+    exp = read_case(path).expected
+    assert exp == ExpectedOutcome(k=4, algo_cost=3.0, opt_cost=1.0, problem=Problem.DIAMETER)
+    assert exp.ratio == 3.0
+
+
 def test_norm_encodings(tmp_path):
     for norm, encoded in ((L1, "l1"), (L2, "l2"), (LINF, "linf")):
         inst = gen_random("uniform_cube", n=3, d=1, norm=norm, seed=1)

@@ -4,6 +4,7 @@ import math
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from agglolab import (
     Instance,
@@ -18,6 +19,7 @@ from agglolab import (
     gen_l2_3d,
     gen_linf_2d,
     gen_random,
+    read_case,
     verify_suite,
     write_case,
     write_instance,
@@ -57,6 +59,17 @@ def test_evaluate_hypercube_uses_upper_bound_hint():
     assert rep.algo_cost == 3.0
     assert rep.opt_cost == 2.0
     assert rep.ratio == 1.5
+
+
+def test_a_case_file_claiming_an_exact_optimum_past_every_oracle_reports_upper_bound(tmp_path):
+    # only an exact oracle certifies a denominator; the file's own claim does not
+    path = tmp_path / "cube.json"
+    write_case(gen_hypercube_l1(8), path)
+    data = json.loads(path.read_text())
+    data["expected"].update(opt_is_exact=True, ratio=1.5)
+    path.write_text(json.dumps(data))
+    rep = evaluate_case(read_case(path))
+    assert (rep.opt_kind, rep.opt_cost, rep.ratio) == ("upper-bound", 2.0, 1.5)
 
 
 def test_evaluate_random_one_dimensional():
@@ -234,6 +247,20 @@ def test_cli_norm_parses_every_printed_label(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--family", "uniform-cube", "--norm", "l0.5", "--out", str(path)])
     assert exc.value.code == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1.0, allow_nan=False))
+def test_cli_norm_label_round_trips_for_every_p(p):
+    # inf included; a label at ":g" alone would name lp1.2345678 as lp1.23457
+    assert _parse_norm(Norm(p).label) == Norm(p)
+
+
+def test_norm_labels_name_one_norm_each():
+    assert (Norm(3.0000001).label, repr(Norm(3.0000001))) == ("lp3.0000001", "Norm(3.0000001)")
+    assert Norm(1.2345678).label == "lp1.2345678"
+    assert [n.label for n in (L1, L2, LINF, Norm(2.5))] == ["l1", "l2", "linf", "lp2.5"]
+    assert [repr(n) for n in (Norm(2), LINF, Norm(1.5))] == ["Norm(2)", "Norm(inf)", "Norm(1.5)"]
 
 
 def test_cli_parse_error_exit_code(tmp_path):
